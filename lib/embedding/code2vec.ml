@@ -123,17 +123,35 @@ let forward_ids (t : t) (ids : ids array) : cache =
 let forward (t : t) (ctxs : Ast_path.context list) : cache =
   forward_ids t (encode t ctxs)
 
-(** One batched inference forward over many snippets, on [arena] scratch
-    (see {!Nn.Batch}): packs every (clamped, padded) context of the batch
-    into one contiguous input matrix, computes each {e unique} (l, p, r)
+(** What one batched forward leaves in the arena for {!backward_rows}:
+    every context occurrence in (snippet, context) order, mapped to its
+    unique (l, p, r) triple.  All buffers are arena slots, valid until
+    the arena is reused. *)
+type rows = {
+  snippets : ids array array;  (** as passed in; [[||]] marks a pad *)
+  counts : int array;  (** per snippet: clamped context count, >= 1 *)
+  total : int;  (** occurrences *)
+  uix : int array;  (** occurrence -> unique triple *)
+  ul : int array;  (** unique triple -> token / path / token id *)
+  up : int array;
+  ur : int array;
+  alphas : float array;  (** occurrence -> attention weight *)
+  x : Nn.Batch.buf;  (** unique [E_tok[l]; E_path[p]; E_tok[r]] rows *)
+  h : Nn.Batch.buf;  (** unique [tanh (W x + b)] rows *)
+  codes : Nn.Batch.buf;  (** [n x d_code] code rows *)
+}
+
+(** One batched forward over many snippets, on [arena] scratch (see
+    {!Nn.Batch}): packs every (clamped, padded) context of the batch into
+    one contiguous input matrix, computes each {e unique} (l, p, r)
     triple's [h = tanh(W x + b)] row exactly once — identical triples
     produce bit-identical rows, so the deduplication cannot change any
     result — then runs each snippet's attention softmax over its own
-    segment of occurrences.  Returns the [n x d_code] row-major code
-    matrix, an arena slot valid until the arena is reused.  Each row is
-    bit-identical to [(forward_ids t ids).code]. *)
-let forward_batch (t : t) (arena : Nn.Batch.arena)
-    (snippets : ids array array) : Nn.Batch.buf =
+    segment of occurrences.  Each code row is bit-identical to
+    [(forward_ids t ids).code], and each occurrence's weight to the
+    matching [alphas] entry. *)
+let forward_rows (t : t) (arena : Nn.Batch.arena)
+    (snippets : ids array array) : rows =
   let cfg = t.cfg in
   let d_tok = cfg.d_token and d_path = cfg.d_path and d_code = cfg.d_code in
   let in_dim = (2 * d_tok) + d_path in
@@ -197,6 +215,7 @@ let forward_batch (t : t) (arena : Nn.Batch.arena)
   (* per-snippet attention over its own segment, accumulated into codes *)
   let codes = Nn.Batch.slot arena "c2v.codes" (max 1 (n * d_code)) in
   let scores = Nn.Batch.float_slot arena "c2v.scores" !max_count in
+  let alphas = Nn.Batch.float_slot arena "c2v.alphas" total in
   let off = ref 0 in
   for s = 0 to n - 1 do
     let nc = counts.(s) in
@@ -211,6 +230,7 @@ let forward_batch (t : t) (arena : Nn.Batch.arena)
        for c = 0 to nc - 1 do
          scores.(c) <- a
        done);
+    Array.blit scores 0 alphas !off nc;
     let cbase = s * d_code in
     Nn.Batch.fill_zero_row codes ~off:cbase ~len:d_code;
     for c = 0 to nc - 1 do
@@ -220,7 +240,7 @@ let forward_batch (t : t) (arena : Nn.Batch.arena)
     done;
     off := !off + nc
   done;
-  codes
+  { snippets; counts; total; uix; ul; up; ur; alphas; x; h; codes }
 
 (** Push dL/dcode back through attention, combiner, and tables. *)
 let backward (t : t) (c : cache) ~(dcode : Nn.Tensor.vec) : unit =
@@ -255,6 +275,88 @@ let backward (t : t) (c : cache) ~(dcode : Nn.Tensor.vec) : unit =
       row_add t.g_tok ri (Array.sub dx (d_tok + d_path) d_tok)
     end
   done
+
+(** {!backward} for every snippet of a {!forward_rows} pass at once,
+    given their dL/dcode rows in [dcodes].  Each gradient element
+    receives the additions of the per-snippet calls in the same
+    (snippet, context) order, so the gradients are bit-identical to
+    calling {!backward} snippet by snippet; the combiner's outer products
+    and input gradients run as row kernels over all occurrences. *)
+let backward_rows (t : t) (arena : Nn.Batch.arena) (r : rows)
+    ~(dcodes : Nn.Batch.buf) : unit =
+  let cfg = t.cfg in
+  let d_tok = cfg.d_token and d_path = cfg.d_path and d_code = cfg.d_code in
+  let in_dim = (2 * d_tok) + d_path in
+  let h = r.h and attn = t.attn and g_attn = t.g_attn in
+  let gb = t.combine.Nn.Dense.gb in
+  (* attention + tanh backward, per occurrence: dz rows; the attention
+     and bias gradients accumulate here, in occurrence order *)
+  let dz = Nn.Batch.slot arena "c2v.dz" (r.total * d_code) in
+  let dalpha = Nn.Batch.float_slot arena "c2v.dalpha" cfg.max_contexts in
+  let off = ref 0 in
+  Array.iteri
+    (fun s _ ->
+      let nc = r.counts.(s) and cbase = s * d_code in
+      for k = 0 to nc - 1 do
+        let hbase = r.uix.(!off + k) * d_code in
+        let acc = ref 0.0 in
+        for i = 0 to d_code - 1 do
+          acc :=
+            !acc
+            +. (Nn.Batch.get dcodes (cbase + i) *. Nn.Batch.get h (hbase + i))
+        done;
+        dalpha.(k) <- !acc
+      done;
+      let mean = ref 0.0 in
+      for k = 0 to nc - 1 do
+        mean := !mean +. (r.alphas.(!off + k) *. dalpha.(k))
+      done;
+      for k = 0 to nc - 1 do
+        let o = !off + k in
+        let alpha = r.alphas.(o) in
+        let ds =
+          if cfg.use_attention then alpha *. (dalpha.(k) -. !mean) else 0.0
+        in
+        let hbase = r.uix.(o) * d_code and zbase = o * d_code in
+        for i = 0 to d_code - 1 do
+          let hi = Nn.Batch.get h (hbase + i) in
+          let dh = 0.0 +. (alpha *. Nn.Batch.get dcodes (cbase + i)) in
+          let dh = dh +. (ds *. Array.unsafe_get attn i) in
+          g_attn.(i) <- g_attn.(i) +. (ds *. hi);
+          Nn.Batch.set dz (zbase + i) (dh *. (1.0 -. (hi *. hi)))
+        done;
+        for i = 0 to d_code - 1 do
+          gb.(i) <- gb.(i) +. (1.0 *. Nn.Batch.get dz (zbase + i))
+        done
+      done;
+      off := !off + nc)
+    r.snippets;
+  (* combiner: gW += dz_o x_u(o)^T, then dx_o = W^T dz_o *)
+  Nn.Batch.ger_rows ~ix:r.uix t.combine.Nn.Dense.gw ~alpha:1.0 ~dy:dz ~x:r.x
+    ~rows:r.total;
+  let dx = Nn.Batch.slot arena "c2v.dx" (r.total * in_dim) in
+  Nn.Batch.gemv_t_rows t.combine.Nn.Dense.w ~dy:dz ~dx ~rows:r.total;
+  (* scatter into the tables, skipping the synthetic pads (see backward) *)
+  let add_row (m : Nn.Tensor.mat) row ~src_off ~len =
+    let base = row * m.Nn.Tensor.cols and d = m.Nn.Tensor.data in
+    for j = 0 to len - 1 do
+      d.(base + j) <- d.(base + j) +. Nn.Batch.get dx (src_off + j)
+    done
+  in
+  let off = ref 0 in
+  Array.iteri
+    (fun s ids ->
+      let nc = r.counts.(s) in
+      if Array.length ids > 0 then
+        for k = 0 to nc - 1 do
+          let o = !off + k in
+          let u = r.uix.(o) and xo = o * in_dim in
+          add_row t.g_tok r.ul.(u) ~src_off:xo ~len:d_tok;
+          add_row t.g_path r.up.(u) ~src_off:(xo + d_tok) ~len:d_path;
+          add_row t.g_tok r.ur.(u) ~src_off:(xo + d_tok + d_path) ~len:d_tok
+        done;
+      off := !off + nc)
+    r.snippets
 
 let params (t : t) : Nn.Optim.params =
   [ (t.tok.Nn.Tensor.data, t.g_tok.Nn.Tensor.data);

@@ -1,16 +1,21 @@
-(** Batched inference kernels over contiguous [Bigarray] float64 buffers,
-    plus the per-domain scratch arena that makes the steady-state hot loop
-    allocation-free.
+(** Batched kernels over contiguous [Bigarray] float64 buffers — the
+    forward rows of inference and of the PPO minibatch update, and the
+    row-wise gradient kernels of its backward — plus the per-domain
+    scratch arena that makes the steady-state hot loop allocation-free.
 
     {b Exactness contract.}  Every kernel here replicates the scalar
     path's floating-point operation order exactly — one accumulator per
     output element, k-sequential accumulation, bias added after the dot,
     elementwise nonlinearities, softmax as max-fold / exp-map / sum-fold /
-    divide in index order — so a batched forward is {e bit-identical} to
-    the per-sample chain it replaces ([Tensor.gemv] + [add_inplace] +
-    [tanh_fwd] + [softmax]).  The differential suites — the batched.*
-    test groups — and the trained-checkpoint-bytes gates enforce this;
-    do not "optimize" a kernel into a different summation order.
+    divide in index order, gradient rows added in row order with the
+    zero-row skip — so a batched pass is {e bit-identical} to the
+    per-sample chain it replaces ([Tensor.gemv] + [add_inplace] +
+    [tanh_fwd] + [softmax] forward, [Tensor.ger] + [gemv_t] backward).
+    The matrix loops ([dense_rows], [ger_rows], [gemv_t_rows]) run in
+    kernels.c, compiled without FMA contraction or fast-math so C keeps
+    the same order too.  The differential suites — the batched.* test
+    groups — and the trained-checkpoint-bytes gates enforce this; do not
+    "optimize" a kernel into a different summation order.
 
     Buffers are float64 ([Tensor] is [float array], i.e. double): a
     float32 layout would be smaller but would round every intermediate
@@ -90,41 +95,72 @@ let reset_domain_arena () : unit = reset (domain_arena ())
 external get : buf -> int -> float = "%caml_ba_unsafe_ref_1"
 external set : buf -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
+external dense_rows_k :
+  float array -> float array -> buf -> buf -> int -> int -> int -> unit
+  = "nv_dense_rows_byte" "nv_dense_rows"
+[@@noalloc]
+
+external ger_rows_k :
+  float array -> float -> buf -> buf -> int array option -> int -> int -> int
+  -> unit = "nv_ger_rows_byte" "nv_ger_rows"
+[@@noalloc]
+
+external gemv_t_rows_k :
+  float array -> buf -> buf -> int -> int -> int -> unit
+  = "nv_gemv_t_rows_byte" "nv_gemv_t_rows"
+[@@noalloc]
+
+let check_rows what ~(rows : int) (b : buf) ~(width : int) =
+  if rows < 0 || Bigarray.Array1.dim b < rows * width then
+    invalid_arg (what ^ ": dimension mismatch")
+
 (** [y(r) = W x(r) + b] for [rows] row-major rows — the matrix-matrix
-    form of [Dense.forward].  Per output element: one accumulator, the
-    exact k-order of [Tensor.gemv] (4x unrolled, {e single} accumulator,
-    so the operation sequence — and therefore the bits — is unchanged),
-    then [acc +. b.(o)] which is bit-equal to gemv-then-[add_inplace]. *)
+    form of [Dense.forward], in kernels.c.  Per output element: one
+    accumulator, the k-order of [Tensor.gemv], then [acc +. b.(o)], which
+    is bit-equal to gemv-then-[add_inplace]. *)
 let dense_rows ~(w : Tensor.mat) ~(b : Tensor.vec) ~(x : buf) ~(y : buf)
     ~(rows : int) : unit =
   let in_dim = w.Tensor.cols and out_dim = w.Tensor.rows in
-  if
-    Bigarray.Array1.dim x < rows * in_dim
-    || Bigarray.Array1.dim y < rows * out_dim
-    || Array.length b <> out_dim
-  then invalid_arg "Batch.dense_rows: dimension mismatch";
-  let wd = w.Tensor.data in
-  let tail = in_dim land 3 and main = in_dim land lnot 3 in
-  for r = 0 to rows - 1 do
-    let xbase = r * in_dim and ybase = r * out_dim in
-    for o = 0 to out_dim - 1 do
-      let wbase = o * in_dim in
-      let acc = ref 0.0 in
-      let k = ref 0 in
-      while !k < main do
-        let k0 = !k in
-        let a0 = !acc +. (Array.unsafe_get wd (wbase + k0) *. get x (xbase + k0)) in
-        let a1 = a0 +. (Array.unsafe_get wd (wbase + k0 + 1) *. get x (xbase + k0 + 1)) in
-        let a2 = a1 +. (Array.unsafe_get wd (wbase + k0 + 2) *. get x (xbase + k0 + 2)) in
-        acc := a2 +. (Array.unsafe_get wd (wbase + k0 + 3) *. get x (xbase + k0 + 3));
-        k := k0 + 4
-      done;
-      for k = main to main + tail - 1 do
-        acc := !acc +. (Array.unsafe_get wd (wbase + k) *. get x (xbase + k))
-      done;
-      set y (ybase + o) (!acc +. Array.unsafe_get b o)
-    done
-  done
+  Tensor.check_mat "Batch.dense_rows" w;
+  check_rows "Batch.dense_rows" ~rows x ~width:in_dim;
+  check_rows "Batch.dense_rows" ~rows y ~width:out_dim;
+  if Array.length b <> out_dim then
+    invalid_arg "Batch.dense_rows: dimension mismatch";
+  dense_rows_k w.Tensor.data b x y rows in_dim out_dim
+
+(** [g += alpha dy(r) x(ix(r))ᵀ] for [r = 0 .. rows-1] ([ix] defaults to
+    the identity): every element of [g] receives the additions of [rows]
+    successive [Tensor.ger] calls, in row order, with the same zero-row
+    skip — so the result is bit-identical to that loop.  [g] is
+    [out_dim x in_dim], [dy] has [rows] rows of [out_dim], [x] rows of
+    [in_dim]. *)
+let ger_rows ?ix (g : Tensor.mat) ~(alpha : float) ~(dy : buf) ~(x : buf)
+    ~(rows : int) : unit =
+  let out_dim = g.Tensor.rows and in_dim = g.Tensor.cols in
+  Tensor.check_mat "Batch.ger_rows" g;
+  check_rows "Batch.ger_rows" ~rows dy ~width:out_dim;
+  (match ix with
+  | None -> check_rows "Batch.ger_rows" ~rows x ~width:in_dim
+  | Some ix ->
+      if Array.length ix < rows then
+        invalid_arg "Batch.ger_rows: dimension mismatch";
+      let xrows =
+        if in_dim = 0 then max_int else Bigarray.Array1.dim x / in_dim
+      in
+      for r = 0 to rows - 1 do
+        if ix.(r) < 0 || ix.(r) >= xrows then
+          invalid_arg "Batch.ger_rows: row index out of range"
+      done);
+  ger_rows_k g.Tensor.data alpha dy x ix rows out_dim in_dim
+
+(** [dx(r) = Wᵀ dy(r)] for [rows] rows — [Tensor.gemv_t] row by row. *)
+let gemv_t_rows (w : Tensor.mat) ~(dy : buf) ~(dx : buf) ~(rows : int) : unit
+    =
+  let out_dim = w.Tensor.rows and in_dim = w.Tensor.cols in
+  Tensor.check_mat "Batch.gemv_t_rows" w;
+  check_rows "Batch.gemv_t_rows" ~rows dy ~width:out_dim;
+  check_rows "Batch.gemv_t_rows" ~rows dx ~width:in_dim;
+  gemv_t_rows_k w.Tensor.data dy dx rows out_dim in_dim
 
 (** Elementwise [tanh] over the first [len] entries, in place — the
     batched [Tensor.tanh_fwd]. *)

@@ -45,6 +45,20 @@ let backward (l : t) ~(x : Tensor.vec) ~(dy : Tensor.vec) : Tensor.vec =
   Tensor.gemv_t l.w dy dx;
   dx
 
+(** Batched {!backward} over [rows] rows of [dy] (inputs [x]): gradients
+    accumulate in row order, bit-identical to calling {!backward} row by
+    row; dL/dx rows go to [dx]. *)
+let backward_rows (l : t) ~(x : Batch.buf) ~(dy : Batch.buf) ~(dx : Batch.buf)
+    ~(rows : int) : unit =
+  Batch.ger_rows l.gw ~alpha:1.0 ~dy ~x ~rows;
+  for r = 0 to rows - 1 do
+    let base = r * l.out_dim in
+    for o = 0 to l.out_dim - 1 do
+      l.gb.(o) <- l.gb.(o) +. (1.0 *. Batch.get dy (base + o))
+    done
+  done;
+  Batch.gemv_t_rows l.w ~dy ~dx ~rows
+
 let zero_grad (l : t) : unit =
   Tensor.mat_fill_zero l.gw;
   Tensor.fill_zero l.gb
@@ -52,7 +66,3 @@ let zero_grad (l : t) : unit =
 (** Parameters and their gradients, flattened for the optimizer. *)
 let params (l : t) : (Tensor.vec * Tensor.vec) list =
   [ (l.w.Tensor.data, l.gw.Tensor.data); (l.b, l.gb) ]
-
-let copy (l : t) : t =
-  { l with w = Tensor.mat_copy l.w; b = Tensor.vec_copy l.b;
-    gw = Tensor.mat_copy l.gw; gb = Tensor.vec_copy l.gb }

@@ -47,20 +47,27 @@ let forward_cached (t : t) (x : Tensor.vec) : cache =
 
 let forward (t : t) (x : Tensor.vec) : Tensor.vec = (forward_cached t x).output
 
-(** Batched inference forward: [rows] row-major inputs in [x], activation
-    between layers but not after the last, exactly as {!forward_cached}.
-    Returns the output buffer — an arena slot (or [x] itself for an empty
-    stack); valid until the next use of the same slots. *)
-let forward_rows (t : t) (arena : Batch.arena) ~(x : Batch.buf) ~(rows : int)
-    : Batch.buf =
+(** Per-layer buffers of a batched forward: [inputs.(i)] holds layer
+    [i]'s input rows (post-activation output of layer [i-1]), [output]
+    the last layer's rows — arena slots valid until the same slots are
+    used again. *)
+type rows_cache = { inputs : Batch.buf array; output : Batch.buf }
+
+let layer_slot = Printf.sprintf "mlp.%d"
+
+(** Batched forward: [rows] row-major inputs in [x], activation between
+    layers but not after the last, exactly as {!forward_cached}.  Each
+    layer writes its own arena slot, so the cache serves
+    {!backward_rows}; [output] is [x] itself for an empty stack. *)
+let forward_rows (t : t) (arena : Batch.arena) ~(x : Batch.buf)
+    ~(rows : int) : rows_cache =
   let n = List.length t.layers in
+  let inputs = Array.make n x in
   let rec go i x = function
-    | [] -> x
+    | [] -> { inputs; output = x }
     | (l : Dense.t) :: rest ->
-        (* ping-pong between two slots so a layer never reads the buffer
-           it is writing *)
-        let y = Batch.slot arena (if i land 1 = 0 then "mlp.a" else "mlp.b")
-            (rows * l.Dense.out_dim) in
+        inputs.(i) <- x;
+        let y = Batch.slot arena (layer_slot i) (rows * l.Dense.out_dim) in
         Dense.forward_rows l ~x ~y ~rows;
         (if i < n - 1 then
            let len = rows * l.Dense.out_dim in
@@ -88,9 +95,40 @@ let backward (t : t) (c : cache) ~(dout : Tensor.vec) : Tensor.vec =
   done;
   !dy
 
+(** {!backward} for all [rows] rows of a {!forward_rows} pass at
+    once, layer by layer: every gradient element receives the per-row
+    additions in row order, so the gradients are bit-identical to calling
+    {!backward} row by row.  Returns the dL/d(input) rows — an arena
+    slot, or [dout] itself for an empty stack. *)
+let backward_rows (t : t) (arena : Batch.arena) (c : rows_cache)
+    ~(dout : Batch.buf) ~(rows : int) : Batch.buf =
+  let n = List.length t.layers in
+  let layers = Array.of_list t.layers in
+  let dy = ref dout in
+  for i = n - 1 downto 0 do
+    let l = layers.(i) in
+    (if i < n - 1 then
+       (* layer i's post-activation output is layer i+1's input *)
+       let y = c.inputs.(i + 1) and d = !dy in
+       for k = 0 to (rows * l.Dense.out_dim) - 1 do
+         let yk = Batch.get y k and dk = Batch.get d k in
+         Batch.set d k
+           (match t.act with
+           | Tanh -> dk *. (1.0 -. (yk *. yk))
+           | Relu -> if yk > 0.0 then dk else 0.0
+           | Linear -> dk)
+       done);
+    let dx =
+      Batch.slot arena
+        (if i land 1 = 0 then "mlp.d0" else "mlp.d1")
+        (rows * l.Dense.in_dim)
+    in
+    Dense.backward_rows l ~x:c.inputs.(i) ~dy:!dy ~dx ~rows;
+    dy := dx
+  done;
+  !dy
+
 let params (t : t) : Optim.params =
   List.concat_map Dense.params t.layers
 
 let zero_grad (t : t) : unit = List.iter Dense.zero_grad t.layers
-
-let copy (t : t) : t = { t with layers = List.map Dense.copy t.layers }

@@ -1,5 +1,14 @@
 (** Optimizers over flat (param, grad) pairs: SGD and Adam. *)
 
+(* Adam's elementwise update, in kernels.c: the same terms in the same
+   order as the OCaml loop it replaced, so moments and weights keep their
+   bits.  [k] = [| scale; beta1; 1 - beta1; beta2; 1 - beta2; 1 - beta1^t;
+   1 - beta2^t; lr; eps |]; the caller checks every length. *)
+external adam_k :
+  float array -> float array -> float array -> float array -> float array
+  -> unit = "nv_adam"
+[@@noalloc]
+
 type params = (Tensor.vec * Tensor.vec) list
 
 type t =
@@ -92,16 +101,14 @@ let step ?(scale = 1.0) (t : t) (ps : params) : unit =
       a.step <- a.step + 1;
       let t_ = float_of_int a.step in
       let bc1 = 1.0 -. (a.beta1 ** t_) and bc2 = 1.0 -. (a.beta2 ** t_) in
+      let k =
+        [| scale; a.beta1; 1.0 -. a.beta1; a.beta2; 1.0 -. a.beta2; bc1; bc2;
+           a.lr; a.eps |]
+      in
       List.iter2
         (fun (p, g) (m, v) ->
-          for i = 0 to Array.length p - 1 do
-            let gi = g.(i) /. scale in
-            m.(i) <- (a.beta1 *. m.(i)) +. ((1.0 -. a.beta1) *. gi);
-            v.(i) <- (a.beta2 *. v.(i)) +. ((1.0 -. a.beta2) *. gi *. gi);
-            let mhat = m.(i) /. bc1 and vhat = v.(i) /. bc2 in
-            p.(i) <- p.(i) -. (a.lr *. mhat /. (sqrt vhat +. a.eps))
-          done)
+          let n = Array.length p in
+          if Array.length g <> n || Array.length v <> n then
+            invalid_arg "Optim.step: gradient or moment length mismatch";
+          adam_k p g m v k)
         ps state
-
-let zero_grads (ps : params) : unit =
-  List.iter (fun (_, g) -> Tensor.fill_zero g) ps

@@ -27,50 +27,48 @@ let fill_zero (v : vec) = Array.fill v 0 (Array.length v) 0.0
 
 let mat_fill_zero m = Array.fill m.data 0 (Array.length m.data) 0.0
 
+(* The inner loops live in kernels.c ([@@noalloc], bit-identical to the
+   scalar loops they replaced — see the exactness contract there).  Each
+   wrapper checks every length first: nothing unchecked reaches C. *)
+external gemv_k :
+  float array -> float array -> float array -> int -> int -> unit = "nv_gemv"
+[@@noalloc]
+
+external gemv_t_k :
+  float array -> float array -> float array -> int -> int -> unit
+  = "nv_gemv_t"
+[@@noalloc]
+
+external ger_k :
+  float array -> float -> float array -> float array -> int -> int -> unit
+  = "nv_ger_byte" "nv_ger"
+[@@noalloc]
+
+let check_mat what (m : mat) =
+  if m.rows < 0 || m.cols < 0 || Array.length m.data <> m.rows * m.cols then
+    invalid_arg (what ^ ": matrix data does not match its shape")
+
 (** y = M x   (M : rows x cols, x : cols, y : rows) *)
 let gemv (m : mat) (x : vec) (y : vec) : unit =
+  check_mat "gemv" m;
   if Array.length x <> m.cols || Array.length y <> m.rows then
     invalid_arg "gemv: dimension mismatch";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let acc = ref 0.0 in
-    for j = 0 to cols - 1 do
-      acc := !acc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
-    done;
-    y.(i) <- !acc
-  done
+  gemv_k m.data x y m.rows m.cols
 
-(** y = Mᵀ x   (x : rows, y : cols) *)
+(** y = Mᵀ x   (x : rows, y : cols); rows with [x.(i) = 0.0] add nothing *)
 let gemv_t (m : mat) (x : vec) (y : vec) : unit =
+  check_mat "gemv_t" m;
   if Array.length x <> m.rows || Array.length y <> m.cols then
     invalid_arg "gemv_t: dimension mismatch";
-  fill_zero y;
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let xi = Array.unsafe_get x i in
-    if xi <> 0.0 then
-      for j = 0 to cols - 1 do
-        Array.unsafe_set y j
-          (Array.unsafe_get y j +. (Array.unsafe_get data (base + j) *. xi))
-      done
-  done
+  gemv_t_k m.data x y m.rows m.cols
 
-(** M += alpha * x yᵀ  (outer-product accumulate; x : rows, y : cols) *)
+(** M += alpha * x yᵀ  (outer-product accumulate; x : rows, y : cols);
+    rows with [alpha *. x.(i) = 0.0] are skipped *)
 let ger (m : mat) ~(alpha : float) (x : vec) (y : vec) : unit =
+  check_mat "ger" m;
   if Array.length x <> m.rows || Array.length y <> m.cols then
     invalid_arg "ger: dimension mismatch";
-  let data = m.data and cols = m.cols in
-  for i = 0 to m.rows - 1 do
-    let base = i * cols in
-    let xi = alpha *. Array.unsafe_get x i in
-    if xi <> 0.0 then
-      for j = 0 to cols - 1 do
-        Array.unsafe_set data (base + j)
-          (Array.unsafe_get data (base + j) +. (xi *. Array.unsafe_get y j))
-      done
-  done
+  ger_k m.data alpha x y m.rows m.cols
 
 let axpy ~(alpha : float) (x : vec) (y : vec) : unit =
   for i = 0 to Array.length x - 1 do
@@ -84,17 +82,7 @@ let dot (a : vec) (b : vec) : float =
   done;
   !acc
 
-let scale (alpha : float) (v : vec) : unit =
-  for i = 0 to Array.length v - 1 do
-    v.(i) <- v.(i) *. alpha
-  done
-
 let add_inplace (dst : vec) (src : vec) : unit = axpy ~alpha:1.0 src dst
-
-let map2_inplace f (dst : vec) (src : vec) : unit =
-  for i = 0 to Array.length dst - 1 do
-    dst.(i) <- f dst.(i) src.(i)
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Nonlinearities                                                       *)
@@ -165,5 +153,3 @@ let argmax (v : vec) : int =
   let best = ref 0 in
   Array.iteri (fun i x -> if x > v.(!best) then best := i) v;
   !best
-
-let l2_norm (v : vec) : float = sqrt (dot v v)

@@ -61,28 +61,51 @@ let forward (t : t) (ids : Embedding.Code2vec.ids array) : fwd =
   { emb; trunk_cache; trunk_out; pi; v }
 
 (* ------------------------------------------------------------------ *)
-(* Batched inference forward                                            *)
+(* Batched forward                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* one arena-backed batched forward over a chunk of snippets: embed the
-   whole chunk (Code2vec.forward_batch), run the trunk + heads as
-   matrix-matrix kernels, and only materialize the per-snippet policy
-   logits at the boundary.  Bit-identical per row to [forward]. *)
-let forward_chunk (t : t) (idss : Embedding.Code2vec.ids array array) :
-    (Nn.Tensor.vec * float) array =
+(** One arena-backed batched forward over many snippets, keeping what
+    {!backward_rows} needs: the embedding pass, every trunk layer's
+    input rows and the tanh'd trunk output.  Buffers are slots of the
+    calling domain's arena, valid until its next batched forward.  Row
+    [i] of [pis]/[vs] is bit-identical to [forward]'s [pi]/[v]. *)
+type rows = {
+  n : int;
+  emb : Embedding.Code2vec.rows;
+  trunk_cache : Nn.Mlp.rows_cache;
+  trunk_out : Nn.Batch.buf;  (** [n x h_out], tanh applied *)
+  pis : Nn.Batch.buf;  (** [n x pi_dim] policy head rows *)
+  vs : Nn.Batch.buf;  (** [n] values *)
+}
+
+let forward_rows (t : t) (idss : Embedding.Code2vec.ids array array) : rows =
   let arena = Nn.Batch.domain_arena () in
   let n = Array.length idss in
-  let codes = Embedding.Code2vec.forward_batch t.c2v arena idss in
-  let trunk = Nn.Mlp.forward_rows t.trunk arena ~x:codes ~rows:n in
+  let emb = Embedding.Code2vec.forward_rows t.c2v arena idss in
+  let trunk_cache =
+    Nn.Mlp.forward_rows t.trunk arena ~x:emb.Embedding.Code2vec.codes
+      ~rows:n
+  in
+  let trunk_out = trunk_cache.Nn.Mlp.output in
   let h_out = t.head_pi.Nn.Dense.in_dim in
-  Nn.Batch.tanh_inplace trunk ~len:(n * h_out);
+  Nn.Batch.tanh_inplace trunk_out ~len:(n * h_out);
+  let pis = Nn.Batch.slot arena "agent.pi" (n * t.head_pi.Nn.Dense.out_dim) in
+  Nn.Dense.forward_rows t.head_pi ~x:trunk_out ~y:pis ~rows:n;
+  let vs = Nn.Batch.slot arena "agent.v" (max 1 n) in
+  Nn.Dense.forward_rows t.head_v ~x:trunk_out ~y:vs ~rows:n;
+  { n; emb; trunk_cache; trunk_out; pis; vs }
+
+(** Policy logits of row [i] of a {!forward_rows} pass. *)
+let pi_row (t : t) (r : rows) (i : int) : Nn.Tensor.vec =
   let pd = t.head_pi.Nn.Dense.out_dim in
-  let pi = Nn.Batch.slot arena "agent.pi" (n * pd) in
-  Nn.Dense.forward_rows t.head_pi ~x:trunk ~y:pi ~rows:n;
-  let v = Nn.Batch.slot arena "agent.v" (max 1 n) in
-  Nn.Dense.forward_rows t.head_v ~x:trunk ~y:v ~rows:n;
-  Array.init n (fun i ->
-      (Nn.Batch.row_to_vec pi ~off:(i * pd) ~len:pd, Nn.Batch.get v i))
+  Nn.Batch.row_to_vec r.pis ~off:(i * pd) ~len:pd
+
+(* the batched forward over one chunk, materialized at the boundary as
+   per-snippet (policy logits, value) *)
+let forward_chunk (t : t) (idss : Embedding.Code2vec.ids array array) :
+    (Nn.Tensor.vec * float) array =
+  let r = forward_rows t idss in
+  Array.init r.n (fun i -> (pi_row t r i, Nn.Batch.get r.vs i))
 
 (* shard [0, n) into [jobs] contiguous chunks and run [f] per chunk via
    [map] — rows are computed independently, so any shard count produces
@@ -182,20 +205,21 @@ let sample_with (t : t) ~(pi : Nn.Tensor.vec) (d : draw) : taken =
 (** Sample an action from the policy output. *)
 let sample (t : t) (f : fwd) : taken = sample_with t ~pi:f.pi (draw t)
 
-(** Log-probability of a previously-taken action under the current policy. *)
-let logp (t : t) (f : fwd) (tk : taken) : float =
+(** Log-probability of a previously-taken action under the current
+    policy, given its policy head output [pi]. *)
+let logp (t : t) (pi : Nn.Tensor.vec) (tk : taken) : float =
   match t.space with
   | Spaces.Discrete ->
-      let zv, zi = split_logits f.pi in
+      let zv, zi = split_logits pi in
       let lv = Nn.Tensor.log_softmax zv and li = Nn.Tensor.log_softmax zi in
       lv.(tk.act.Spaces.vf_idx) +. li.(tk.act.Spaces.if_idx)
   | Spaces.Continuous1 ->
-      gauss_logp ~mu:f.pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
+      gauss_logp ~mu:pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
   | Spaces.Continuous2 ->
-      gauss_logp ~mu:f.pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
-      +. gauss_logp ~mu:f.pi.(1) ~log_std:t.log_std.(1) tk.raw.(1)
+      gauss_logp ~mu:pi.(0) ~log_std:t.log_std.(0) tk.raw.(0)
+      +. gauss_logp ~mu:pi.(1) ~log_std:t.log_std.(1) tk.raw.(1)
 
-let entropy (t : t) (f : fwd) : float =
+let entropy (t : t) (pi : Nn.Tensor.vec) : float =
   match t.space with
   | Spaces.Discrete ->
       let h z =
@@ -204,7 +228,7 @@ let entropy (t : t) (f : fwd) : float =
         Array.iteri (fun i pi_ -> acc := !acc -. (pi_ *. lp.(i))) p;
         !acc
       in
-      let zv, zi = split_logits f.pi in
+      let zv, zi = split_logits pi in
       h zv +. h zi
   | Spaces.Continuous1 ->
       0.5 *. (1.0 +. log (2.0 *. Float.pi)) +. t.log_std.(0)
@@ -231,21 +255,13 @@ let argmax_seg (b : Nn.Batch.buf) ~(off : int) ~(len : int) : int =
   done;
   !best
 
-(* batched greedy decisions over one chunk: the forward kernels of
-   [forward_chunk] minus the value head (the action never depends on it),
-   decisions read straight off the logits buffer *)
+(* batched greedy decisions over one chunk, read straight off the
+   logits rows *)
 let predict_chunk (t : t) (idss : Embedding.Code2vec.ids array array) :
     Spaces.action array =
-  let arena = Nn.Batch.domain_arena () in
-  let n = Array.length idss in
-  let codes = Embedding.Code2vec.forward_batch t.c2v arena idss in
-  let trunk = Nn.Mlp.forward_rows t.trunk arena ~x:codes ~rows:n in
-  let h_out = t.head_pi.Nn.Dense.in_dim in
-  Nn.Batch.tanh_inplace trunk ~len:(n * h_out);
-  let pd = t.head_pi.Nn.Dense.out_dim in
-  let pi = Nn.Batch.slot arena "agent.pi" (n * pd) in
-  Nn.Dense.forward_rows t.head_pi ~x:trunk ~y:pi ~rows:n;
-  Array.init n (fun i ->
+  let r = forward_rows t idss in
+  let pd = t.head_pi.Nn.Dense.out_dim and pi = r.pis in
+  Array.init r.n (fun i ->
       let off = i * pd in
       match t.space with
       | Spaces.Discrete ->
@@ -270,12 +286,12 @@ let predict_batch ?(jobs = 1) ?(map = fun f xs -> Array.map f xs) (t : t)
 (* ------------------------------------------------------------------ *)
 
 (** Gradient of the policy head output for
-    [dlogp_coef * logp + dent_coef * entropy]. *)
-let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
+    [dlogp_coef * logp + dent_coef * entropy], given the output [pi]. *)
+let dpi_of (t : t) (pi : Nn.Tensor.vec) (tk : taken) ~(dlogp_coef : float)
     ~(dent_coef : float) : Nn.Tensor.vec =
   match t.space with
   | Spaces.Discrete ->
-      let zv, zi = split_logits f.pi in
+      let zv, zi = split_logits pi in
       let grad z idx =
         let p = Nn.Tensor.softmax z in
         let lp = Nn.Tensor.log_softmax z in
@@ -289,7 +305,7 @@ let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
       Array.append (grad zv tk.act.Spaces.vf_idx) (grad zi tk.act.Spaces.if_idx)
   | Spaces.Continuous1 ->
       let sigma = exp t.log_std.(0) in
-      let z = (tk.raw.(0) -. f.pi.(0)) /. sigma in
+      let z = (tk.raw.(0) -. pi.(0)) /. sigma in
       t.g_log_std.(0) <-
         t.g_log_std.(0)
         +. (dlogp_coef *. ((z *. z) -. 1.0))
@@ -298,7 +314,7 @@ let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
   | Spaces.Continuous2 ->
       let g k =
         let sigma = exp t.log_std.(k) in
-        let z = (tk.raw.(k) -. f.pi.(k)) /. sigma in
+        let z = (tk.raw.(k) -. pi.(k)) /. sigma in
         t.g_log_std.(k) <-
           t.g_log_std.(k)
           +. (dlogp_coef *. ((z *. z) -. 1.0))
@@ -312,7 +328,8 @@ let dpi_of (t : t) (f : fwd) (tk : taken) ~(dlogp_coef : float)
    matching log-std terms; the caller chooses the loss sign convention. *)
 
 (** Accumulate gradients for one sample. [dpi] is dLoss/d(policy head
-    output) and [dv] is dLoss/d(value). *)
+    output) and [dv] is dLoss/d(value).  Training runs {!backward_rows};
+    this per-sample form is its reference. *)
 let backward (t : t) (f : fwd) ~(dpi : Nn.Tensor.vec) ~(dv : float) : unit =
   let d_trunk = Nn.Tensor.vec_create (Array.length f.trunk_out) in
   let d1 = Nn.Dense.backward t.head_pi ~x:f.trunk_out ~dy:dpi in
@@ -322,6 +339,31 @@ let backward (t : t) (f : fwd) ~(dpi : Nn.Tensor.vec) ~(dv : float) : unit =
   let d_raw = Nn.Tensor.tanh_bwd f.trunk_out d_trunk in
   let d_code = Nn.Mlp.backward t.trunk f.trunk_cache ~dout:d_raw in
   Embedding.Code2vec.backward t.c2v f.emb ~dcode:d_code
+
+(** {!backward} for every row of a {!forward_rows} pass at once:
+    [dpi] holds the [n x pi_dim] dLoss/d(policy head) rows, [dv] the [n]
+    dLoss/d(value) entries.  Layer by layer, every gradient element
+    receives the per-sample additions in sample (then context) order, so
+    the gradients are bit-identical to calling {!backward} per sample. *)
+let backward_rows (t : t) (r : rows) ~(dpi : Nn.Batch.buf) ~(dv : Nn.Batch.buf)
+    : unit =
+  let arena = Nn.Batch.domain_arena () in
+  let n = r.n and h_out = t.head_pi.Nn.Dense.in_dim in
+  let d1 = Nn.Batch.slot arena "agent.d1" (n * h_out) in
+  Nn.Dense.backward_rows t.head_pi ~x:r.trunk_out ~dy:dpi ~dx:d1 ~rows:n;
+  let d2 = Nn.Batch.slot arena "agent.d2" (n * h_out) in
+  Nn.Dense.backward_rows t.head_v ~x:r.trunk_out ~dy:dv ~dx:d2 ~rows:n;
+  (* d_raw = tanh_bwd trunk_out (0 + d1 + d2), the scalar chain's order *)
+  for k = 0 to (n * h_out) - 1 do
+    let d = 0.0 +. (1.0 *. Nn.Batch.get d1 k) in
+    let d = d +. (1.0 *. Nn.Batch.get d2 k) in
+    let y = Nn.Batch.get r.trunk_out k in
+    Nn.Batch.set d1 k (d *. (1.0 -. (y *. y)))
+  done;
+  let dcodes =
+    Nn.Mlp.backward_rows t.trunk arena r.trunk_cache ~dout:d1 ~rows:n
+  in
+  Embedding.Code2vec.backward_rows t.c2v arena r.emb ~dcodes
 
 let params (t : t) : Nn.Optim.params =
   Embedding.Code2vec.params t.c2v

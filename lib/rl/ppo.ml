@@ -49,6 +49,71 @@ type transition = {
   t_reward : float;
 }
 
+(** Running sums of one update's statistics, accumulated in sample order
+    across its minibatches. *)
+type sums = {
+  mutable loss_sum : float;
+  mutable ent_sum : float;
+  mutable kl_sum : float;  (** approx-KL numerator *)
+  mutable count : int;
+}
+
+let new_sums () = { loss_sum = 0.0; ent_sum = 0.0; kl_sum = 0.0; count = 0 }
+
+(** Zero the agent's gradients and accumulate those of the clipped PPO
+    loss over minibatch [mb] (not yet divided by its size), adding each
+    sample's loss, entropy and approx-KL terms to [sums] in order.  One
+    batched forward ({!Agent.forward_rows}) evaluates the whole
+    minibatch, the head math runs per sample in order, and one batched
+    backward ({!Agent.backward_rows}) pushes every sample's gradient —
+    bit-identical to the per-sample [forward]/[backward] loop. *)
+let minibatch_grads (agent : Agent.t) ~(hyper : hyper) ~(clip : float)
+    (mb : transition array) (sums : sums) : unit =
+  Agent.zero_grad agent;
+  let n = Array.length mb in
+  let f =
+    Agent.forward_rows agent (Array.map (fun tr -> tr.t_sample.s_ids) mb)
+  in
+  let arena = Nn.Batch.domain_arena () in
+  let pd = agent.Agent.head_pi.Nn.Dense.out_dim in
+  let dpi_rows = Nn.Batch.slot arena "ppo.dpi" (n * pd) in
+  let dv_rows = Nn.Batch.slot arena "ppo.dv" (max 1 n) in
+  Array.iteri
+    (fun k tr ->
+      let pi = Agent.pi_row agent f k and v = Nn.Batch.get f.Agent.vs k in
+      let lp = Agent.logp agent pi tr.t_taken in
+      let ratio = exp (lp -. tr.t_taken.Agent.logp) in
+      let adv = tr.t_reward -. tr.t_value in
+      let unclipped_active =
+        if adv >= 0.0 then ratio < 1.0 +. clip else ratio > 1.0 -. clip
+      in
+      (* dL/dlogp for L = -min(r A, clip(r) A) *)
+      let dlogp = if unclipped_active then -.(ratio *. adv) else 0.0 in
+      let dpi =
+        Agent.dpi_of agent pi tr.t_taken ~dlogp_coef:dlogp
+          ~dent_coef:(-.hyper.ent_coef)
+      in
+      Array.iteri (fun j d -> Nn.Batch.set dpi_rows ((k * pd) + j) d) dpi;
+      Nn.Batch.set dv_rows k (hyper.vf_coef *. (v -. tr.t_reward));
+      (* bookkeeping *)
+      let surr =
+        let clipped = max (1.0 -. clip) (min (1.0 +. clip) ratio) in
+        min (ratio *. adv) (clipped *. adv)
+      in
+      let ent = Agent.entropy agent pi in
+      sums.loss_sum <-
+        sums.loss_sum
+        +. (-.surr)
+        +. (hyper.vf_coef *. 0.5 *. ((v -. tr.t_reward) ** 2.0))
+        -. (hyper.ent_coef *. ent);
+      sums.ent_sum <- sums.ent_sum +. ent;
+      (* approx-KL between the rollout policy and the current one, the
+         standard E[logp_old - logp_new] estimator *)
+      sums.kl_sum <- sums.kl_sum +. (tr.t_taken.Agent.logp -. lp);
+      sums.count <- sums.count + 1)
+    mb;
+  Agent.backward_rows agent f ~dpi:dpi_rows ~dv:dv_rows
+
 (** Train [agent] for [total_steps] environment steps.
 
     [reward sample_id action] is the environment: it compiles the program
@@ -80,7 +145,9 @@ type transition = {
     {!Agent.sample_with} applies the pre-drawn randomness — so actions,
     rewards, and checkpoint bytes are bit-identical to the scalar loop,
     just faster.  [rollout_jobs]/[rollout_map] shard that forward across
-    an injected parallel map (see {!Agent.forward_batch}).
+    an injected parallel map (see {!Agent.forward_batch}).  The PPO
+    epochs always run minibatch by minibatch through {!minibatch_grads},
+    whatever [batched] says.
 
     {b Self-healing.}  After every update the numeric-health sentinels
     ({!Sentinel.check}) inspect the loss, entropy, approx-KL, reward
@@ -264,53 +331,15 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
         ~rollbacks:!rollbacks
     in
     let poisoned = ref false in
-    let loss_acc = ref 0.0 and loss_count = ref 0 in
-    let ent_acc = ref 0.0 in
-    let kl_acc = ref 0.0 in
+    let sums = new_sums () in
     for _epoch = 1 to hyper.epochs do
       Nn.Rng.shuffle rng batch;
       let i = ref 0 in
       while !i < n do
         let mb_end = min n (!i + hyper.minibatch) in
         let mb_size = mb_end - !i in
-        Agent.zero_grad agent;
-        for k = !i to mb_end - 1 do
-          let tr = batch.(k) in
-          let f = Agent.forward agent tr.t_sample.s_ids in
-          let lp = Agent.logp agent f tr.t_taken in
-          let ratio = exp (lp -. tr.t_taken.Agent.logp) in
-          let adv = tr.t_reward -. tr.t_value in
-          let unclipped_active =
-            if adv >= 0.0 then ratio < 1.0 +. clip_now
-            else ratio > 1.0 -. clip_now
-          in
-          (* dL/dlogp for L = -min(r A, clip(r) A) *)
-          let dlogp = if unclipped_active then -.(ratio *. adv) else 0.0 in
-          let dpi =
-            Agent.dpi_of agent f tr.t_taken ~dlogp_coef:dlogp
-              ~dent_coef:(-.hyper.ent_coef)
-          in
-          let dv = hyper.vf_coef *. (f.Agent.v -. tr.t_reward) in
-          Agent.backward agent f ~dpi ~dv;
-          (* bookkeeping *)
-          let surr =
-            let clipped =
-              max (1.0 -. clip_now) (min (1.0 +. clip_now) ratio)
-            in
-            min (ratio *. adv) (clipped *. adv)
-          in
-          let ent = Agent.entropy agent f in
-          loss_acc :=
-            !loss_acc
-            +. (-.surr)
-            +. (hyper.vf_coef *. 0.5 *. ((f.Agent.v -. tr.t_reward) ** 2.0))
-            -. (hyper.ent_coef *. ent);
-          ent_acc := !ent_acc +. ent;
-          (* approx-KL between the rollout policy and the current one,
-             the standard E[logp_old - logp_new] estimator *)
-          kl_acc := !kl_acc +. (tr.t_taken.Agent.logp -. lp);
-          incr loss_count
-        done;
+        minibatch_grads agent ~hyper ~clip:clip_now
+          (Array.sub batch !i mb_size) sums;
         if poison && not !poisoned then begin
           (* the injected numeric fault: one gradient cell goes NaN just
              before the optimizer step, exactly how a real bad update
@@ -332,10 +361,10 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
     in
     let st =
       { update = !update; steps = !steps_done; reward_mean;
-        loss = !loss_acc /. float_of_int (max 1 !loss_count);
-        entropy_mean = !ent_acc /. float_of_int (max 1 !loss_count) }
+        loss = sums.loss_sum /. float_of_int (max 1 sums.count);
+        entropy_mean = sums.ent_sum /. float_of_int (max 1 sums.count) }
     in
-    let approx_kl = !kl_acc /. float_of_int (max 1 !loss_count) in
+    let approx_kl = sums.kl_sum /. float_of_int (max 1 sums.count) in
     (* ---- sentinels: admit the update only if it is healthy ---- *)
     match
       Sentinel.check sentinel ~params:(Agent.params agent) ~optim:!opt

@@ -234,7 +234,8 @@ let check_batch_matches_scalar (m : Embedding.Code2vec.t)
   let d_code = m.Embedding.Code2vec.cfg.Embedding.Code2vec.d_code in
   (* twice through the same arena: the second pass reuses warm slots *)
   for pass = 1 to 2 do
-    let codes = Embedding.Code2vec.forward_batch m arena snippets in
+    let r = Embedding.Code2vec.forward_rows m arena snippets in
+    let codes = r.Embedding.Code2vec.codes in
     Array.iteri
       (fun i ids ->
         let expect =

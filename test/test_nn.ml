@@ -287,8 +287,8 @@ let fill_rows (rows : float array array) : Nn.Batch.buf =
   b
 
 (* random layers over random shapes: dense_rows must reproduce
-   Dense.forward bit for bit, row by row (covers the unrolled main loop,
-   the tail loop, and the fused bias add) *)
+   Dense.forward bit for bit, row by row (covers the four-row blocks, the
+   remainder rows, and the fused bias add) *)
 let test_dense_rows_bitwise () =
   let rng = Nn.Rng.create 31 in
   for trial = 1 to 25 do
@@ -328,7 +328,8 @@ let test_mlp_rows_bitwise () =
         Array.init rows (fun _ ->
             Array.init in_dim (fun _ -> Nn.Rng.normal rng))
       in
-      let y = Nn.Mlp.forward_rows mlp arena ~x:(fill_rows xs) ~rows in
+      let c = Nn.Mlp.forward_rows mlp arena ~x:(fill_rows xs) ~rows in
+      let y = c.Nn.Mlp.output in
       Array.iteri
         (fun r xr ->
           let expect = Nn.Mlp.forward mlp xr in
@@ -372,6 +373,295 @@ let test_arena_slot_reuse () =
   Nn.Batch.reset a;
   let b5 = Nn.Batch.slot a "x" 10 in
   Alcotest.(check bool) "reset drops the store" true (b3 != b5)
+
+(* ------------------------------------------------------------------ *)
+(* Native kernels vs the OCaml loops they replaced                      *)
+(* ------------------------------------------------------------------ *)
+
+(* The pure-OCaml loops that ran before the kernels moved to C, kept
+   verbatim as the references the C kernels must match bit for bit. *)
+module Ref = struct
+  let gemv (m : Nn.Tensor.mat) (x : float array) (y : float array) =
+    let data = m.Nn.Tensor.data and cols = m.Nn.Tensor.cols in
+    for i = 0 to m.Nn.Tensor.rows - 1 do
+      let base = i * cols in
+      let acc = ref 0.0 in
+      for j = 0 to cols - 1 do
+        acc :=
+          !acc +. (Array.unsafe_get data (base + j) *. Array.unsafe_get x j)
+      done;
+      y.(i) <- !acc
+    done
+
+  let gemv_t (m : Nn.Tensor.mat) (x : float array) (y : float array) =
+    Nn.Tensor.fill_zero y;
+    let data = m.Nn.Tensor.data and cols = m.Nn.Tensor.cols in
+    for i = 0 to m.Nn.Tensor.rows - 1 do
+      let base = i * cols in
+      let xi = Array.unsafe_get x i in
+      if xi <> 0.0 then
+        for j = 0 to cols - 1 do
+          Array.unsafe_set y j
+            (Array.unsafe_get y j +. (Array.unsafe_get data (base + j) *. xi))
+        done
+    done
+
+  let ger (m : Nn.Tensor.mat) ~alpha (x : float array) (y : float array) =
+    let data = m.Nn.Tensor.data and cols = m.Nn.Tensor.cols in
+    for i = 0 to m.Nn.Tensor.rows - 1 do
+      let base = i * cols in
+      let xi = alpha *. Array.unsafe_get x i in
+      if xi <> 0.0 then
+        for j = 0 to cols - 1 do
+          Array.unsafe_set data (base + j)
+            (Array.unsafe_get data (base + j) +. (xi *. Array.unsafe_get y j))
+        done
+    done
+
+  (* the 4x-unrolled single-accumulator loop of the OCaml dense_rows *)
+  let dense_rows ~(w : Nn.Tensor.mat) ~(b : float array) ~(x : Nn.Batch.buf)
+      ~(y : Nn.Batch.buf) ~rows =
+    let get = Bigarray.Array1.unsafe_get and set = Bigarray.Array1.unsafe_set in
+    let in_dim = w.Nn.Tensor.cols and out_dim = w.Nn.Tensor.rows in
+    let wd = w.Nn.Tensor.data in
+    let tail = in_dim land 3 and main = in_dim land lnot 3 in
+    for r = 0 to rows - 1 do
+      let xbase = r * in_dim and ybase = r * out_dim in
+      for o = 0 to out_dim - 1 do
+        let wbase = o * in_dim in
+        let acc = ref 0.0 in
+        let k = ref 0 in
+        while !k < main do
+          let k0 = !k in
+          let a0 = !acc +. (wd.(wbase + k0) *. get x (xbase + k0)) in
+          let a1 = a0 +. (wd.(wbase + k0 + 1) *. get x (xbase + k0 + 1)) in
+          let a2 = a1 +. (wd.(wbase + k0 + 2) *. get x (xbase + k0 + 2)) in
+          acc := a2 +. (wd.(wbase + k0 + 3) *. get x (xbase + k0 + 3));
+          k := k0 + 4
+        done;
+        for k = main to main + tail - 1 do
+          acc := !acc +. (wd.(wbase + k) *. get x (xbase + k))
+        done;
+        set y (ybase + o) (!acc +. b.(o))
+      done
+    done
+
+  let adam ~scale ~beta1 ~beta2 ~eps ~lr ~step p g m v =
+    let t_ = float_of_int step in
+    let bc1 = 1.0 -. (beta1 ** t_) and bc2 = 1.0 -. (beta2 ** t_) in
+    for i = 0 to Array.length p - 1 do
+      let gi = g.(i) /. scale in
+      m.(i) <- (beta1 *. m.(i)) +. ((1.0 -. beta1) *. gi);
+      v.(i) <- (beta2 *. v.(i)) +. ((1.0 -. beta2) *. gi *. gi);
+      let mhat = m.(i) /. bc1 and vhat = v.(i) /. bc2 in
+      p.(i) <- p.(i) -. (lr *. mhat /. (sqrt vhat +. eps))
+    done
+end
+
+(* an entry drawn to hit every branch: ordinary values, both zeros (the
+   skip rule), NaN and both infinities *)
+let special_float rng =
+  match Nn.Rng.int rng 12 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> Float.nan
+  | 3 -> Float.infinity
+  | 4 -> Float.neg_infinity
+  | _ -> Nn.Rng.normal rng
+
+(* a vector that is ordinary, all-zero, or salted with special values *)
+let kernel_vec rng n =
+  match Nn.Rng.int rng 4 with
+  | 0 -> Array.make n (if Nn.Rng.int rng 2 = 0 then 0.0 else -0.0)
+  | 1 -> Array.init n (fun _ -> special_float rng)
+  | _ -> Array.init n (fun _ -> Nn.Rng.normal rng)
+
+let kernel_mat rng rows cols =
+  { Nn.Tensor.rows; cols;
+    data =
+      Array.init (rows * cols) (fun _ ->
+          if Nn.Rng.int rng 6 = 0 then special_float rng
+          else Nn.Rng.normal rng) }
+
+(* odd, even and empty dimensions *)
+let kernel_dim rng = match Nn.Rng.int rng 5 with 0 -> 0 | _ -> Nn.Rng.int rng 12
+
+(* Bitwise, except that any NaN matches any NaN: IEEE 754 leaves open
+   which operand's payload and sign a NaN result carries, and both
+   compilers may commute a [*] or [+], so only NaN-ness is part of the
+   kernels' contract.  Zeros keep their sign and infinities their bits. *)
+let same_bits what (a : float array) (b : float array) =
+  Array.iteri
+    (fun i x ->
+      if bits x <> bits b.(i) && not (Float.is_nan x && Float.is_nan b.(i))
+      then
+        Alcotest.failf "%s[%d]: reference %h vs native %h" what i x b.(i))
+    a
+
+let buf_of (a : float array) : Nn.Batch.buf =
+  let b = Nn.Batch.create (Array.length a) in
+  Array.iteri (fun i v -> Bigarray.Array1.set b i v) a;
+  b
+
+let array_of_buf (b : Nn.Batch.buf) n = Array.init n (fun i -> Nn.Batch.get b i)
+
+let test_native_tensor_kernels () =
+  let rng = Nn.Rng.create 41 in
+  for trial = 1 to 300 do
+    let rows = kernel_dim rng and cols = kernel_dim rng in
+    let m = kernel_mat rng rows cols in
+    let what k = Printf.sprintf "trial %d %s %dx%d" trial k rows cols in
+    (* gemv *)
+    let x = kernel_vec rng cols in
+    let y_ref = Array.make rows 1.5 and y = Array.make rows 1.5 in
+    Ref.gemv m x y_ref;
+    Nn.Tensor.gemv m x y;
+    same_bits (what "gemv") y_ref y;
+    (* gemv_t *)
+    let x = kernel_vec rng rows in
+    let y_ref = Array.make cols 1.5 and y = Array.make cols 1.5 in
+    Ref.gemv_t m x y_ref;
+    Nn.Tensor.gemv_t m x y;
+    same_bits (what "gemv_t") y_ref y;
+    (* ger, with a zero alpha now and then (every row skipped) *)
+    let alpha =
+      match Nn.Rng.int rng 4 with 0 -> 0.0 | 1 -> -1.0 | _ -> Nn.Rng.normal rng
+    in
+    let x = kernel_vec rng rows and y = kernel_vec rng cols in
+    let m_ref = Nn.Tensor.mat_copy m and m_nat = Nn.Tensor.mat_copy m in
+    Ref.ger m_ref ~alpha x y;
+    Nn.Tensor.ger m_nat ~alpha x y;
+    same_bits (what "ger") m_ref.Nn.Tensor.data m_nat.Nn.Tensor.data
+  done
+
+let test_native_batch_kernels () =
+  let rng = Nn.Rng.create 42 in
+  for trial = 1 to 200 do
+    let out_dim = kernel_dim rng and in_dim = kernel_dim rng in
+    let rows = kernel_dim rng in
+    let w = kernel_mat rng out_dim in_dim in
+    let what k =
+      Printf.sprintf "trial %d %s %dx%d rows %d" trial k out_dim in_dim rows
+    in
+    (* dense_rows; some input rows all zero *)
+    let b = kernel_vec rng out_dim in
+    let x =
+      buf_of (Array.concat (List.init rows (fun _ -> kernel_vec rng in_dim)))
+    in
+    let y_ref = Nn.Batch.create (rows * out_dim)
+    and y = Nn.Batch.create (rows * out_dim) in
+    Ref.dense_rows ~w ~b ~x ~y:y_ref ~rows;
+    Nn.Batch.dense_rows ~w ~b ~x ~y ~rows;
+    same_bits (what "dense_rows")
+      (array_of_buf y_ref (rows * out_dim))
+      (array_of_buf y (rows * out_dim));
+    (* ger_rows against successive ger calls, identity and indexed *)
+    let dys = Array.init rows (fun _ -> kernel_vec rng out_dim) in
+    let dy = buf_of (Array.concat (Array.to_list dys)) in
+    let xrows = 1 + Nn.Rng.int rng 4 in
+    let xs = Array.init xrows (fun _ -> kernel_vec rng in_dim) in
+    let xb = buf_of (Array.concat (Array.to_list xs)) in
+    let ix = Array.init rows (fun _ -> Nn.Rng.int rng xrows) in
+    let alpha = if Nn.Rng.int rng 3 = 0 then 1.0 else Nn.Rng.normal rng in
+    let g0 = kernel_mat rng out_dim in_dim in
+    let g_ref = Nn.Tensor.mat_copy g0 and g = Nn.Tensor.mat_copy g0 in
+    Array.iteri (fun r d -> Ref.ger g_ref ~alpha d xs.(ix.(r))) dys;
+    Nn.Batch.ger_rows ~ix g ~alpha ~dy ~x:xb ~rows;
+    same_bits (what "ger_rows indexed") g_ref.Nn.Tensor.data g.Nn.Tensor.data;
+    let xs = Array.init rows (fun _ -> kernel_vec rng in_dim) in
+    let xb = buf_of (Array.concat (Array.to_list xs)) in
+    let g_ref = Nn.Tensor.mat_copy g0 and g = Nn.Tensor.mat_copy g0 in
+    Array.iteri (fun r d -> Ref.ger g_ref ~alpha d xs.(r)) dys;
+    Nn.Batch.ger_rows g ~alpha ~dy ~x:xb ~rows;
+    same_bits (what "ger_rows") g_ref.Nn.Tensor.data g.Nn.Tensor.data;
+    (* gemv_t_rows against gemv_t row by row *)
+    let dx = Nn.Batch.create (rows * in_dim) in
+    Nn.Batch.gemv_t_rows w ~dy ~dx ~rows;
+    Array.iteri
+      (fun r d ->
+        let e = Array.make in_dim 0.0 in
+        Ref.gemv_t w d e;
+        same_bits (what "gemv_t_rows") e
+          (Array.init in_dim (fun j -> Nn.Batch.get dx ((r * in_dim) + j))))
+      dys
+  done
+
+let test_native_adam () =
+  let rng = Nn.Rng.create 43 in
+  for trial = 1 to 50 do
+    let n = kernel_dim rng in
+    let p = kernel_vec rng n and g = kernel_vec rng n in
+    let m = Array.init n (fun _ -> 0.1 *. Nn.Rng.normal rng) in
+    let v = Array.init n (fun _ -> abs_float (Nn.Rng.normal rng)) in
+    let scale = float_of_int (1 + Nn.Rng.int rng 64) in
+    let lr = 1e-3 and beta1 = 0.9 and beta2 = 0.999 and eps = 1e-8 in
+    let steps = 1 + Nn.Rng.int rng 3 in
+    let pr = Array.copy p and mr = Array.copy m and vr = Array.copy v in
+    for step = 1 to steps do
+      Ref.adam ~scale ~beta1 ~beta2 ~eps ~lr ~step pr g mr vr
+    done;
+    (* the optimizer's moments start at zero: seed them through state *)
+    let opt = Nn.Optim.adam ~lr () in
+    (match opt with
+    | Nn.Optim.Adam a -> a.state <- Some [ (m, v) ]
+    | Nn.Optim.Sgd _ -> assert false);
+    for _ = 1 to steps do
+      Nn.Optim.step ~scale opt [ (p, g) ]
+    done;
+    let what k = Printf.sprintf "trial %d adam %s (n %d)" trial k n in
+    same_bits (what "param") pr p;
+    same_bits (what "m") mr m;
+    same_bits (what "v") vr v
+  done
+
+(* every wrapper rejects a length mismatch before anything reaches C *)
+let test_native_wrappers_check_lengths () =
+  let raises what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no Invalid_argument" what
+    | exception Invalid_argument _ -> ()
+  in
+  let m = Nn.Tensor.mat_create 3 4 in
+  let bad_m = { m with Nn.Tensor.data = Array.make 5 0.0 } in
+  let v n = Array.make n 1.0 in
+  raises "gemv x" (fun () -> Nn.Tensor.gemv m (v 3) (v 3));
+  raises "gemv y" (fun () -> Nn.Tensor.gemv m (v 4) (v 4));
+  raises "gemv data" (fun () -> Nn.Tensor.gemv bad_m (v 4) (v 3));
+  raises "gemv_t x" (fun () -> Nn.Tensor.gemv_t m (v 4) (v 4));
+  raises "gemv_t y" (fun () -> Nn.Tensor.gemv_t m (v 3) (v 3));
+  raises "gemv_t data" (fun () -> Nn.Tensor.gemv_t bad_m (v 3) (v 4));
+  raises "ger x" (fun () -> Nn.Tensor.ger m ~alpha:1.0 (v 4) (v 4));
+  raises "ger y" (fun () -> Nn.Tensor.ger m ~alpha:1.0 (v 3) (v 3));
+  raises "ger data" (fun () -> Nn.Tensor.ger bad_m ~alpha:1.0 (v 3) (v 4));
+  let buf = Nn.Batch.create in
+  raises "dense_rows x" (fun () ->
+      Nn.Batch.dense_rows ~w:m ~b:(v 3) ~x:(buf 7) ~y:(buf 6) ~rows:2);
+  raises "dense_rows y" (fun () ->
+      Nn.Batch.dense_rows ~w:m ~b:(v 3) ~x:(buf 8) ~y:(buf 5) ~rows:2);
+  raises "dense_rows b" (fun () ->
+      Nn.Batch.dense_rows ~w:m ~b:(v 4) ~x:(buf 8) ~y:(buf 6) ~rows:2);
+  raises "dense_rows w" (fun () ->
+      Nn.Batch.dense_rows ~w:bad_m ~b:(v 3) ~x:(buf 8) ~y:(buf 6) ~rows:2);
+  raises "ger_rows dy" (fun () ->
+      Nn.Batch.ger_rows m ~alpha:1.0 ~dy:(buf 5) ~x:(buf 8) ~rows:2);
+  raises "ger_rows x" (fun () ->
+      Nn.Batch.ger_rows m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 7) ~rows:2);
+  raises "ger_rows ix length" (fun () ->
+      Nn.Batch.ger_rows ~ix:[| 0 |] m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8)
+        ~rows:2);
+  raises "ger_rows ix range" (fun () ->
+      Nn.Batch.ger_rows ~ix:[| 0; 2 |] m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8)
+        ~rows:2);
+  raises "ger_rows negative rows" (fun () ->
+      Nn.Batch.ger_rows m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8) ~rows:(-1));
+  raises "ger_rows g" (fun () ->
+      Nn.Batch.ger_rows bad_m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8) ~rows:2);
+  raises "gemv_t_rows dy" (fun () ->
+      Nn.Batch.gemv_t_rows m ~dy:(buf 5) ~dx:(buf 8) ~rows:2);
+  raises "gemv_t_rows dx" (fun () ->
+      Nn.Batch.gemv_t_rows m ~dy:(buf 6) ~dx:(buf 7) ~rows:2);
+  raises "adam grad" (fun () ->
+      Nn.Optim.step (Nn.Optim.adam ~lr:0.1 ()) [ (v 3, v 2) ])
 
 let suite =
   [
@@ -423,5 +713,12 @@ let suite =
         Alcotest.test_case "softmax_inplace bitwise" `Quick
           test_softmax_inplace_bitwise;
         Alcotest.test_case "arena slot reuse" `Quick test_arena_slot_reuse;
+        Alcotest.test_case "native tensor kernels bitwise" `Quick
+          test_native_tensor_kernels;
+        Alcotest.test_case "native batch kernels bitwise" `Quick
+          test_native_batch_kernels;
+        Alcotest.test_case "native adam bitwise" `Quick test_native_adam;
+        Alcotest.test_case "wrappers check lengths" `Quick
+          test_native_wrappers_check_lengths;
       ] );
   ]

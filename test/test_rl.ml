@@ -50,7 +50,7 @@ let test_sample_logp_consistency () =
       for _ = 1 to 20 do
         let f = Rl.Agent.forward agent ids in
         let taken = Rl.Agent.sample agent f in
-        let lp = Rl.Agent.logp agent f taken in
+        let lp = Rl.Agent.logp agent f.Rl.Agent.pi taken in
         if abs_float (lp -. taken.Rl.Agent.logp) > 1e-9 then
           Alcotest.failf "%s: logp mismatch %f vs %f"
             (Rl.Spaces.kind_to_string space)
@@ -68,7 +68,8 @@ let test_predict_deterministic () =
 let test_entropy_positive () =
   let agent = mk_agent 13 in
   let f = Rl.Agent.forward agent (some_ids agent) in
-  Alcotest.(check bool) "entropy > 0" true (Rl.Agent.entropy agent f > 0.0)
+  Alcotest.(check bool) "entropy > 0" true
+    (Rl.Agent.entropy agent f.Rl.Agent.pi > 0.0)
 
 (* finite-difference check: d(logp)/d(logits) for the discrete head *)
 let test_discrete_logp_gradient () =
@@ -76,15 +77,17 @@ let test_discrete_logp_gradient () =
   let ids = some_ids agent in
   let f = Rl.Agent.forward agent ids in
   let taken = Rl.Agent.sample agent f in
-  let dpi = Rl.Agent.dpi_of agent f taken ~dlogp_coef:1.0 ~dent_coef:0.0 in
+  let dpi =
+    Rl.Agent.dpi_of agent f.Rl.Agent.pi taken ~dlogp_coef:1.0 ~dent_coef:0.0
+  in
   (* perturb a logit and recompute logp *)
   List.iter
     (fun k ->
       let pi = Array.copy f.Rl.Agent.pi in
       pi.(k) <- pi.(k) +. 1e-5;
-      let lp_p = Rl.Agent.logp agent { f with Rl.Agent.pi } taken in
+      let lp_p = Rl.Agent.logp agent pi taken in
       pi.(k) <- pi.(k) -. 2e-5;
-      let lp_m = Rl.Agent.logp agent { f with Rl.Agent.pi } taken in
+      let lp_m = Rl.Agent.logp agent pi taken in
       let numeric = (lp_p -. lp_m) /. 2e-5 in
       if abs_float (numeric -. dpi.(k)) > 1e-3 then
         Alcotest.failf "dlogits[%d]: numeric %f vs analytic %f" k numeric
@@ -559,6 +562,156 @@ let test_ppo_periodic_checkpoints () =
         | _, Some st -> st.Rl.Train_state.ts_steps = 300
         | _ -> false))
 
+(* ------------------------------------------------------------------ *)
+(* Minibatch PPO update: bit-identical to the per-sample loop           *)
+(* ------------------------------------------------------------------ *)
+
+(* The per-sample epoch step the minibatch update replaced, kept as the
+   reference: one scalar forward and backward per transition. *)
+let reference_grads (agent : Rl.Agent.t) ~(hyper : Rl.Ppo.hyper) ~clip
+    (mb : Rl.Ppo.transition array) (sums : Rl.Ppo.sums) =
+  Rl.Agent.zero_grad agent;
+  Array.iter
+    (fun (tr : Rl.Ppo.transition) ->
+      let f = Rl.Agent.forward agent tr.Rl.Ppo.t_sample.Rl.Ppo.s_ids in
+      let taken = tr.Rl.Ppo.t_taken in
+      let lp = Rl.Agent.logp agent f.Rl.Agent.pi taken in
+      let ratio = exp (lp -. taken.Rl.Agent.logp) in
+      let adv = tr.Rl.Ppo.t_reward -. tr.Rl.Ppo.t_value in
+      let unclipped_active =
+        if adv >= 0.0 then ratio < 1.0 +. clip else ratio > 1.0 -. clip
+      in
+      let dlogp = if unclipped_active then -.(ratio *. adv) else 0.0 in
+      let dpi =
+        Rl.Agent.dpi_of agent f.Rl.Agent.pi taken ~dlogp_coef:dlogp
+          ~dent_coef:(-.hyper.Rl.Ppo.ent_coef)
+      in
+      let dv = hyper.Rl.Ppo.vf_coef *. (f.Rl.Agent.v -. tr.Rl.Ppo.t_reward) in
+      Rl.Agent.backward agent f ~dpi ~dv;
+      let surr =
+        let clipped = max (1.0 -. clip) (min (1.0 +. clip) ratio) in
+        min (ratio *. adv) (clipped *. adv)
+      in
+      let ent = Rl.Agent.entropy agent f.Rl.Agent.pi in
+      sums.Rl.Ppo.loss_sum <-
+        sums.Rl.Ppo.loss_sum
+        +. (-.surr)
+        +. (hyper.Rl.Ppo.vf_coef *. 0.5
+           *. ((f.Rl.Agent.v -. tr.Rl.Ppo.t_reward) ** 2.0))
+        -. (hyper.Rl.Ppo.ent_coef *. ent);
+      sums.Rl.Ppo.ent_sum <- sums.Rl.Ppo.ent_sum +. ent;
+      sums.Rl.Ppo.kl_sum <- sums.Rl.Ppo.kl_sum +. (taken.Rl.Agent.logp -. lp);
+      sums.Rl.Ppo.count <- sums.Rl.Ppo.count + 1)
+    mb
+
+(* 100 transitions over the mixed corpus (a duplicate snippet and an
+   empty-context pad among them) plus a snippet that repeats one
+   (l, p, r) triple, so every minibatch holds repeated triples *)
+let training_batch (agent : Rl.Agent.t) : Rl.Ppo.transition array =
+  let base = some_ids agent in
+  let repeated = [| base.(0); base.(1); base.(0); base.(0); base.(2) |] in
+  let snippets = Array.append (corpus_ids agent) [| repeated |] in
+  let rng = Nn.Rng.create 5 in
+  Array.init 100 (fun k ->
+      let s_ids = snippets.(k mod Array.length snippets) in
+      let f = Rl.Agent.forward agent s_ids in
+      let taken = Rl.Agent.sample agent f in
+      { Rl.Ppo.t_sample = { Rl.Ppo.s_id = k; s_ids };
+        t_taken = taken; t_value = f.Rl.Agent.v;
+        t_reward = Nn.Rng.normal rng })
+
+let adam_moments what = function
+  | Nn.Optim.Adam { state = Some st; _ } -> st
+  | _ -> Alcotest.failf "%s: no Adam moments" what
+
+let check_vecs what (a : float array) (b : float array) =
+  Alcotest.(check int) (what ^ " length") (Array.length a) (Array.length b);
+  Array.iteri
+    (fun i x ->
+      if bits x <> bits b.(i) then
+        Alcotest.failf "%s[%d]: minibatch %h vs per-sample %h" what i x b.(i))
+    a
+
+(* both paths in lockstep over three shuffled epochs of 100 transitions
+   in minibatches of 64 (so each epoch ends on a 36-sample remainder):
+   statistics, every gradient, every parameter and both Adam moments
+   must agree bit for bit after every minibatch *)
+let test_minibatch_update_identical () =
+  List.iter
+    (fun space ->
+      let name = Rl.Spaces.kind_to_string space in
+      let batch = training_batch (mk_agent ~space 46) in
+      let a = mk_agent ~space 47 and b = mk_agent ~space 47 in
+      let hyper = { Rl.Ppo.default_hyper with ent_coef = 0.05 } in
+      let opt_a = Nn.Optim.adam ~lr:1e-2 ()
+      and opt_b = Nn.Optim.adam ~lr:1e-2 () in
+      let sums_a = Rl.Ppo.new_sums () and sums_b = Rl.Ppo.new_sums () in
+      let order = Array.init 100 Fun.id and rng = Nn.Rng.create 9 in
+      for epoch = 1 to 3 do
+        Nn.Rng.shuffle rng order;
+        let shuffled = Array.map (fun k -> batch.(k)) order in
+        let i = ref 0 in
+        while !i < 100 do
+          let size = min 64 (100 - !i) in
+          let mb = Array.sub shuffled !i size in
+          let what s = Printf.sprintf "%s epoch %d at %d: %s" name epoch !i s in
+          Rl.Ppo.minibatch_grads a ~hyper ~clip:0.2 mb sums_a;
+          reference_grads b ~hyper ~clip:0.2 mb sums_b;
+          check_vecs (what "stats")
+            [| sums_a.loss_sum; sums_a.ent_sum; sums_a.kl_sum;
+               float_of_int sums_a.count |]
+            [| sums_b.loss_sum; sums_b.ent_sum; sums_b.kl_sum;
+               float_of_int sums_b.count |];
+          let pa = Rl.Agent.params a and pb = Rl.Agent.params b in
+          List.iteri
+            (fun k ((_, ga), (_, gb)) ->
+              check_vecs (what (Printf.sprintf "gradient %d" k)) ga gb)
+            (List.combine pa pb);
+          Nn.Optim.step ~scale:(float_of_int size) opt_a pa;
+          Nn.Optim.step ~scale:(float_of_int size) opt_b pb;
+          List.iteri
+            (fun k ((wa, _), (wb, _)) ->
+              check_vecs (what (Printf.sprintf "parameter %d" k)) wa wb)
+            (List.combine pa pb);
+          List.iteri
+            (fun k ((ma, va), (mb, vb)) ->
+              check_vecs (what (Printf.sprintf "adam m %d" k)) ma mb;
+              check_vecs (what (Printf.sprintf "adam v %d" k)) va vb)
+            (List.combine (adam_moments "a" opt_a) (adam_moments "b" opt_b));
+          i := !i + size
+        done
+      done)
+    all_spaces
+
+(* the injected NaN still trips the sentinel at the update it poisons:
+   updates 1-2 pass, update 3 is rolled back and redone *)
+let test_minibatch_nan_trips_same_update () =
+  Rl.Sentinel.reset_counters ();
+  let agent = mk_agent 48 in
+  let samples =
+    [| { Rl.Ppo.s_id = 0; s_ids = some_ids agent };
+       { Rl.Ppo.s_id = 1; s_ids = [||] } |]
+  in
+  let reward id (a : Rl.Spaces.action) =
+    float_of_int ((a.Rl.Spaces.vf_idx * 3) + a.Rl.Spaces.if_idx + id) /. 25.0
+  in
+  let sentinel =
+    { Rl.Sentinel.default with
+      inject_nan = (fun ~update ~rollbacks -> update = 3 && rollbacks = 0) }
+  in
+  let seen = ref [] in
+  let progress (st : Rl.Ppo.stats) =
+    seen := (st.Rl.Ppo.update, Rl.Sentinel.trip_count ()) :: !seen
+  in
+  ignore
+    (Rl.Ppo.train
+       ~hyper:{ Rl.Ppo.default_hyper with batch_size = 50 }
+       ~sentinel ~progress agent ~samples ~reward ~total_steps:250);
+  Alcotest.(check (list (pair int int)))
+    "(update, trips so far) at each admitted update"
+    [ (1, 0); (2, 0); (3, 1); (4, 1); (5, 1) ]
+    (List.rev !seen)
+
 let suite =
   [
     ( "rl.spaces",
@@ -622,5 +775,12 @@ let suite =
       [
         Alcotest.test_case "batched rollouts identical" `Slow
           test_ppo_batched_rollouts_identical;
+      ] );
+    ( "batched.training",
+      [
+        Alcotest.test_case "minibatch update = per-sample loop" `Quick
+          test_minibatch_update_identical;
+        Alcotest.test_case "injected NaN trips the same update" `Quick
+          test_minibatch_nan_trips_same_update;
       ] );
   ]
