@@ -323,10 +323,9 @@ let backward_rows (t : t) (arena : Nn.Batch.arena) (r : rows)
           let dh = 0.0 +. (alpha *. Nn.Batch.get dcodes (cbase + i)) in
           let dh = dh +. (ds *. Array.unsafe_get attn i) in
           g_attn.(i) <- g_attn.(i) +. (ds *. hi);
-          Nn.Batch.set dz (zbase + i) (dh *. (1.0 -. (hi *. hi)))
-        done;
-        for i = 0 to d_code - 1 do
-          gb.(i) <- gb.(i) +. (1.0 *. Nn.Batch.get dz (zbase + i))
+          let dzi = dh *. (1.0 -. (hi *. hi)) in
+          Nn.Batch.set dz (zbase + i) dzi;
+          gb.(i) <- gb.(i) +. (1.0 *. dzi)
         done
       done;
       off := !off + nc)
