@@ -23,9 +23,6 @@ let experiments : (string * string * (unit -> unit)) list =
     ("ablations", "design-choice ablations", Experiments.Ablations.print);
     ("par", "parallel engine: serial vs pool bit-identity + speedup",
      Experiments.Parbench.print);
-    ("sweepbench",
-     "shared-artifact sweep: legacy vs fast bit-identity + BENCH_sweep.json",
-     Experiments.Sweepbench.print);
     ("inferbench",
      "batched NN inference: serial vs batched bit-identity + BENCH_infer.json",
      Experiments.Inferbench.print);
@@ -53,13 +50,18 @@ let micro () =
                 (Minic.Parser.parse_string dot.Dataset.Program.p_source))))
   in
   let compile_test =
-    Test.make ~name:"full pipeline (baseline)"
-      (Staged.stage (fun () -> ignore (Neurovec.Pipeline.run_baseline dot)))
+    Test.make ~name:"compile on the shared artifact (baseline)"
+      (Staged.stage (fun () ->
+           ignore
+             (Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline dot)))
   in
   let vectorize_test =
-    Test.make ~name:"full pipeline (VF=8, IF=4 pragma)"
+    Test.make ~name:"compile on the shared artifact (VF=8, IF=4)"
       (Staged.stage (fun () ->
-           ignore (Neurovec.Pipeline.run_with_pragma dot ~vf:8 ~if_:4)))
+           ignore
+             (Neurovec.Pipeline.compile
+                ~plan:(Neurovec.Pipeline.Uniform (8, 4))
+                dot)))
   in
   let embed_test =
     let rng = Nn.Rng.create 1 in

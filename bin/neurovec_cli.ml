@@ -130,11 +130,28 @@ let compile_cmd =
     or_compile_error @@ fun () ->
     let p = program_of_file ~kernel file in
     let options = { Neurovec.Pipeline.default_options with polly } in
-    let result =
+    (* a lone --vf or --if leaves the other factor at 1, as a width-only
+       or interleave-only pragma does; no flags honours the source's own
+       pragmas *)
+    let plan =
       match (vf, if_) with
-      | Some v, Some i -> Neurovec.Pipeline.run_with_pragma ~options p ~vf:v ~if_:i
-      | _ -> Neurovec.Pipeline.run ~options p
+      | None, None ->
+          let sites =
+            Neurovec.Extractor.extract
+              (Neurovec.Frontend.checked p).Neurovec.Frontend.a_ast
+          in
+          Neurovec.Pipeline.Per_loop
+            (List.filter_map
+               (fun s ->
+                 Option.map
+                   (fun pr -> (s.Neurovec.Extractor.ordinal, pr))
+                   s.Neurovec.Extractor.innermost.Minic.Ast.pragma)
+               sites)
+      | v, i ->
+          Neurovec.Pipeline.Uniform
+            (Option.value v ~default:1, Option.value i ~default:1)
     in
+    let result = Neurovec.Pipeline.compile ~options ~plan p in
     List.iter
       (fun d ->
         Printf.printf "loop %d: VF=%d IF=%d%s%s\n" d.Vectorizer.Planner.d_loop_id
@@ -176,8 +193,8 @@ let sweep_cmd =
         faults = Neurovec.Faults.of_env ();
         verify = verify_on verify }
     in
-    let base = Neurovec.Pipeline.run_baseline ~options p in
-    let t_base = base.Neurovec.Pipeline.exec_seconds in
+    let seconds plan = fst (Neurovec.Pipeline.measure ~options ~plan p) in
+    let t_base = seconds Neurovec.Pipeline.Baseline in
     (* evaluate the whole grid on the pool, then print in row order *)
     let grid =
       Array.concat
@@ -189,8 +206,7 @@ let sweep_cmd =
     let cells =
       Neurovec.Parpool.map
         (fun (vf, if_) ->
-          let r = Neurovec.Pipeline.run_with_pragma ~options p ~vf ~if_ in
-          t_base /. r.Neurovec.Pipeline.exec_seconds)
+          t_base /. seconds (Neurovec.Pipeline.Uniform (vf, if_)))
         grid
     in
     Printf.printf "speedup over the baseline cost model:\n%6s" "VF\\IF";
@@ -388,22 +404,11 @@ let predict_cmd =
     let agent = Rl.Checkpoint.load model in
     let p = program_of_file ~kernel file in
     let decisions = Neurovec.Framework.predict_decisions agent p in
-    List.iter
-      (fun (ord, pr) ->
-        Printf.printf "loop %d: VF=%d IF=%d\n" ord
-          (Option.value pr.Minic.Ast.vectorize_width ~default:1)
-          (Option.value pr.Minic.Ast.interleave_count ~default:1))
-      decisions;
-    let base = Neurovec.Pipeline.run_baseline p in
-    let rl = Neurovec.Pipeline.run_with_decisions p ~decisions in
-    Printf.printf "baseline: %.3e s   RL: %.3e s   speedup %.2fx\n"
-      base.Neurovec.Pipeline.exec_seconds rl.Neurovec.Pipeline.exec_seconds
-      (base.Neurovec.Pipeline.exec_seconds
-      /. rl.Neurovec.Pipeline.exec_seconds);
-    print_endline "rewritten source:";
+    let seconds plan = fst (Neurovec.Pipeline.measure ~plan p) in
     print_string
-      (Neurovec.Injector.inject_source ~clear_others:true
-         p.Dataset.Program.p_source ~decisions)
+      (Serve.Server.answer_text ~p ~decisions
+         ~base:(seconds Neurovec.Pipeline.Baseline)
+         ~rl:(seconds (Neurovec.Pipeline.Per_loop decisions)))
   in
   Cmd.v
     (Cmd.info "predict"

@@ -34,15 +34,14 @@ let image_pipeline =
 
 let () =
   let p = image_pipeline in
-  let base = (Neurovec.Pipeline.run_baseline p).Neurovec.Pipeline.exec_seconds in
+  let seconds plan = fst (Neurovec.Pipeline.measure ~plan p) in
+  let base = seconds Neurovec.Pipeline.Baseline in
   Printf.printf "baseline cost model: %.3e s\n" base;
 
   (* one global pragma — what -force-vector-width would do; the paper
      rejects this because one size cannot fit all loops *)
-  let global = Neurovec.Pipeline.run_with_pragma p ~vf:8 ~if_:2 in
-  Printf.printf "global (VF=8, IF=2): %.3e s (%.2fx)\n"
-    global.Neurovec.Pipeline.exec_seconds
-    (base /. global.Neurovec.Pipeline.exec_seconds);
+  let global = seconds (Neurovec.Pipeline.Uniform (8, 2)) in
+  Printf.printf "global (VF=8, IF=2): %.3e s (%.2fx)\n" global (base /. global);
 
   (* per-loop brute force *)
   let prog = Minic.Parser.parse_string p.Dataset.Program.p_source in
@@ -55,10 +54,7 @@ let () =
         let decisions =
           [ (site.Neurovec.Extractor.ordinal, Neurovec.Injector.pragma_of ~vf ~if_) ]
         in
-        let t =
-          (Neurovec.Pipeline.run_with_decisions p ~decisions)
-            .Neurovec.Pipeline.exec_seconds
-        in
+        let t = seconds (Neurovec.Pipeline.Per_loop decisions) in
         let _, _, bt = !best in
         if t < bt then best := (vf, if_, t))
       Rl.Spaces.all_actions;
@@ -73,10 +69,7 @@ let () =
         (site.Neurovec.Extractor.ordinal, Neurovec.Injector.pragma_of ~vf ~if_))
       sites
   in
-  let tuned =
-    (Neurovec.Pipeline.run_with_decisions p ~decisions:per_loop)
-      .Neurovec.Pipeline.exec_seconds
-  in
+  let tuned = seconds (Neurovec.Pipeline.Per_loop per_loop) in
   Printf.printf "per-loop tuned pragmas: %.3e s (%.2fx over baseline)\n" tuned
     (base /. tuned);
   Printf.printf

@@ -13,8 +13,10 @@ let () =
   let polly_opts =
     { Neurovec.Pipeline.default_options with Neurovec.Pipeline.polly = true }
   in
-  let base = Neurovec.Pipeline.run_baseline gemm in
-  let t_base = base.Neurovec.Pipeline.exec_seconds in
+  let seconds ?options plan =
+    fst (Neurovec.Pipeline.measure ?options ~plan gemm)
+  in
+  let t_base = seconds Neurovec.Pipeline.Baseline in
   Printf.printf "%-28s %.3e s  (1.00x)\n" "baseline cost model" t_base;
 
   (* the best pragma alone, by brute force *)
@@ -25,18 +27,14 @@ let () =
     t_pragma (t_base /. t_pragma) (Rl.Spaces.vf_of act) (Rl.Spaces.if_of act);
 
   (* polly alone *)
-  let t_polly =
-    (Neurovec.Pipeline.run_baseline ~options:polly_opts gemm)
-      .Neurovec.Pipeline.exec_seconds
-  in
+  let t_polly = seconds ~options:polly_opts Neurovec.Pipeline.Baseline in
   Printf.printf "%-28s %.3e s  (%.2fx)\n" "Polly (tiling + fusion)" t_polly
     (t_base /. t_polly);
 
   (* polly + the same brute-forced pragma *)
   let t_both =
-    (Neurovec.Pipeline.run_with_pragma ~options:polly_opts gemm
-       ~vf:(Rl.Spaces.vf_of act) ~if_:(Rl.Spaces.if_of act))
-      .Neurovec.Pipeline.exec_seconds
+    seconds ~options:polly_opts
+      (Neurovec.Pipeline.Uniform (Rl.Spaces.vf_of act, Rl.Spaces.if_of act))
   in
   Printf.printf "%-28s %.3e s  (%.2fx)\n" "Polly + pragma" t_both
     (t_base /. t_both);

@@ -28,7 +28,7 @@ let illegal =
 
 let () =
   (* -- 2: baseline compile --------------------------------------- *)
-  let base = Neurovec.Pipeline.run_baseline dot in
+  let base = Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline dot in
   print_endline "baseline cost model (what clang -O3 would do):";
   List.iter
     (fun d ->
@@ -41,7 +41,9 @@ let () =
 
   (* -- 3: pragma injection ----------------------------------------- *)
   print_endline "injecting #pragma clang loop vectorize_width(16) interleave_count(2):";
-  let tuned = Neurovec.Pipeline.run_with_pragma dot ~vf:16 ~if_:2 in
+  let tuned =
+    Neurovec.Pipeline.compile ~plan:(Neurovec.Pipeline.Uniform (16, 2)) dot
+  in
   Printf.printf "  simulated execution: %.3e s (%.2fx over baseline)\n\n"
     tuned.Neurovec.Pipeline.exec_seconds
     (base.Neurovec.Pipeline.exec_seconds

@@ -28,16 +28,12 @@ let () =
   let speedups =
     Array.to_list held_out
     |> List.map (fun p ->
-           let base =
-             (Neurovec.Pipeline.run_baseline p).Neurovec.Pipeline.exec_seconds
-           in
+           let seconds plan = fst (Neurovec.Pipeline.measure ~plan p) in
+           let base = seconds Neurovec.Pipeline.Baseline in
            let decisions =
              Neurovec.Framework.predict_decisions fw.Neurovec.Framework.agent p
            in
-           let rl =
-             (Neurovec.Pipeline.run_with_decisions p ~decisions)
-               .Neurovec.Pipeline.exec_seconds
-           in
+           let rl = seconds (Neurovec.Pipeline.Per_loop decisions) in
            let oracle = Neurovec.Reward.create [| p |] in
            let act, _ = Neurovec.Reward.brute_force oracle 0 in
            let bf = Neurovec.Reward.exec_seconds oracle 0 act in

@@ -12,16 +12,6 @@ type loop_site = {
   context : Minic.Ast.stmt;  (** outermost enclosing loop (embedding input) *)
 }
 
-let rec has_inner_for (s : Minic.Ast.stmt) : bool =
-  match s with
-  | Minic.Ast.For _ -> true
-  | Minic.Ast.Block ss -> List.exists has_inner_for ss
-  | Minic.Ast.If (_, t, f) ->
-      has_inner_for t
-      || (match f with Some f -> has_inner_for f | None -> false)
-  | Minic.Ast.While { Minic.Ast.w_body; _ } -> has_inner_for w_body
-  | _ -> false
-
 (** Innermost for-loops of a statement, each with the outermost for that
     contains it. *)
 let rec sites_of_stmt ?(outer : Minic.Ast.stmt option) (s : Minic.Ast.stmt) :
@@ -29,7 +19,7 @@ let rec sites_of_stmt ?(outer : Minic.Ast.stmt option) (s : Minic.Ast.stmt) :
   match s with
   | Minic.Ast.For f ->
       let this_outer = match outer with Some o -> o | None -> s in
-      if has_inner_for f.Minic.Ast.body then
+      if Minic.Ast.has_inner_for f.Minic.Ast.body then
         sites_of_stmt ~outer:this_outer f.Minic.Ast.body
       else [ (f, this_outer) ]
   | Minic.Ast.Block ss -> List.concat_map (sites_of_stmt ?outer) ss

@@ -77,14 +77,14 @@ let probe_samples ?(encode = encode) (agent : Rl.Agent.t) (oracle : Reward.t)
     resume.  The replayed-record count surfaces in {!Stats.report}. *)
 let create ?agent ?(space = Rl.Spaces.Discrete) ?(hidden = [ 64; 64 ])
     ?(c2v_cfg = Embedding.Code2vec.default_config)
-    ?(options = Pipeline.default_options) ?(legacy_pipeline = false)
-    ?journal ~(seed : int) (train_programs : Dataset.Program.t array) : t =
+    ?(options = Pipeline.default_options) ?journal ~(seed : int)
+    (train_programs : Dataset.Program.t array) : t =
   let agent =
     match agent with
     | Some a -> a  (* e.g. restored from a checkpoint for resumed training *)
     | None -> Rl.Agent.create ~hidden ~c2v_cfg ~space (Nn.Rng.create seed)
   in
-  let oracle = Reward.create ~options ~legacy_pipeline train_programs in
+  let oracle = Reward.create ~options train_programs in
   Option.iter
     (fun path ->
       ignore (Reward.replay_journal oracle path);
@@ -145,7 +145,7 @@ let predict_decisions (agent : Rl.Agent.t) (p : Dataset.Program.t) :
 let rl_seconds ?(options = Pipeline.default_options) (agent : Rl.Agent.t)
     (p : Dataset.Program.t) : float =
   let decisions = predict_decisions agent p in
-  (Pipeline.run_with_decisions ~options p ~decisions).Pipeline.exec_seconds
+  fst (Pipeline.measure ~options ~plan:(Pipeline.Per_loop decisions) p)
 
 (** Baseline-normalized speedups for one evaluation program under several
     methods; the unit of Figures 7, 8 and 9. *)

@@ -1,12 +1,12 @@
 (** Compiled front-end artifacts.
 
     Every oracle client (PPO training, brute force, NNS, the decision tree)
-    evaluates ~35 actions per program, and each evaluation used to re-run
-    the whole front end on freshly pretty-printed text.  Parsing and
-    semantic analysis depend only on the program source and its symbolic
-    bindings — not on the pragma decision under evaluation — so we do them
-    once, cache the checked AST keyed by a content hash, and let
-    {!Pipeline} apply pragma decisions directly on the cached AST.
+    evaluates ~35 plans per program.  Parsing and semantic analysis depend
+    only on the program source and its symbolic bindings, so they run once
+    per content: {!checked} caches the checked AST keyed by a content hash.
+    Lowering and the mid-end do not depend on the plan either, so
+    {!prevec} caches the pragma-free module every {!Pipeline} evaluation
+    copies and vectorizes.
 
     The cache is process-global and content-addressed: two [Program.t]
     values with identical source and bindings (regardless of name, kernel
@@ -35,7 +35,6 @@ exception Compile_error of string
 type artifact = {
   a_hash : string;  (** content hash of (source, bindings) *)
   a_ast : Minic.Ast.program;  (** parsed and sema-checked, pragmas intact *)
-  a_loops : int;  (** innermost for-loop count, in extractor order *)
 }
 
 (** Content hash of a program's source and bindings (name/kernel/family are
@@ -50,15 +49,18 @@ let hash_program (p : Dataset.Program.t) : string =
                p.Dataset.Program.p_bindings)))
 
 (** A program's shared pre-vectorization artifact: the pragma-free module
-    after lower + LICM/CSE/LICM (everything an action sweep does before the
+    after lower + LICM/CSE/LICM (everything an evaluation does before the
     planner), plus the per-loop analyses the planner needs.  [pv_modul] and
     [pv_preps] are {e never mutated}: every consumer takes an
-    [Ir.copy_modul] and transforms the copy, so one artifact serves all 35
-    actions of a sweep — and all sweeps that ever see the same content. *)
+    [Ir.copy_modul] and transforms the copy, so one artifact serves every
+    plan of the program. *)
 type prevec = {
   pv_hash : string;  (** content hash + polly flag *)
   pv_modul : Ir.modul;  (** pristine; consumers must copy before mutating *)
   pv_preps : Vectorizer.Planner.prep list;
+  pv_loop_ids : (int * int) list;
+      (** (innermost [for] ordinal, loop id) for every source loop that
+          lowered to a counted loop; Polly's fusion and tiling keep ids *)
 }
 
 let n_shards = 16
@@ -184,7 +186,6 @@ let clear () =
           Hashtbl.reset s.sr_tbl;
           Queue.clear s.sr_order))
     sr_shards;
-  Machine.Timing.memo_clear ();
   List.iter (fun f -> f ()) !clear_hooks
 
 let size () =
@@ -228,10 +229,7 @@ let checked (p : Dataset.Program.t) : artifact =
       Stats.frontend_miss ();
       (* parse outside the lock: slow, deterministic, idempotent *)
       let ast = parse_checked p in
-      let a =
-        { a_hash = h; a_ast = ast;
-          a_loops = List.length (Extractor.extract ast) }
-      in
+      let a = { a_hash = h; a_ast = ast } in
       Mutex.protect s.lock (fun () ->
           match Hashtbl.find_opt s.tbl h with
           | Some winner -> winner  (* a racing domain parsed it first *)
@@ -241,12 +239,22 @@ let checked (p : Dataset.Program.t) : artifact =
               evict_over_cap s.tbl s.order;
               a)
 
+(* lower [ast] for [p] under [Stats.Lower], wrapping lowering errors in
+   {!Compile_error} *)
+let lower_ids (p : Dataset.Program.t) (ast : Minic.Ast.program) :
+    Ir.modul * (int * int) list =
+  Stats.time Stats.Lower (fun () ->
+      try Ir_lower.lower_program_ids ~bindings:p.Dataset.Program.p_bindings ast
+      with Ir_lower.Error msg ->
+        raise
+          (Compile_error
+             (Printf.sprintf "%s: %s" p.Dataset.Program.p_name msg)))
+
 (** The shared pre-vectorization artifact for [p]: pragma-free lowering +
     Polly (when [polly]) + LICM/CSE/LICM + per-loop planner analyses,
     computed at most once per distinct (source, bindings, polly) content.
     Lowering failures are not cached (each attempt re-raises
-    {!Compile_error} with the asking program's name, matching the
-    per-action pipeline's error text).
+    {!Compile_error} with the asking program's name).
 
     Domain safety mirrors {!checked}: the mid-end runs {e outside} the
     shard lock — it is deterministic, so racing domains build bit-identical
@@ -261,20 +269,11 @@ let prevec_of ?(polly = false) (p : Dataset.Program.t) (a : artifact) :
       pv
   | None ->
       Stats.prevec_miss ();
-      (* strip source pragmas: the sweep supplies its plan explicitly, and
-         the baseline is defined as "existing pragmas removed" *)
-      let ast =
-        Injector.inject_ast ~clear_others:true a.a_ast ~decisions:[]
-      in
-      let m =
-        Stats.time Stats.Lower (fun () ->
-            try
-              Ir_lower.lower_program ~bindings:p.Dataset.Program.p_bindings
-                ast
-            with Ir_lower.Error msg ->
-              raise
-                (Compile_error
-                   (Printf.sprintf "%s: %s" p.Dataset.Program.p_name msg)))
+      (* strip the innermost loops' source pragmas: every evaluation
+         supplies its plan explicitly *)
+      let m, loop_ids =
+        lower_ids p
+          (Injector.inject_ast ~clear_others:true a.a_ast ~decisions:[])
       in
       if polly then
         Stats.time Stats.Polly (fun () -> ignore (Polly.Driver.optimize m));
@@ -286,7 +285,9 @@ let prevec_of ?(polly = false) (p : Dataset.Program.t) (a : artifact) :
         Stats.time Stats.Vectorize (fun () ->
             Vectorizer.Planner.prepare_modul m)
       in
-      let pv = { pv_hash = h; pv_modul = m; pv_preps = preps } in
+      let pv =
+        { pv_hash = h; pv_modul = m; pv_preps = preps; pv_loop_ids = loop_ids }
+      in
       Mutex.protect s.pv_lock (fun () ->
           match Hashtbl.find_opt s.pv_tbl h with
           | Some winner -> winner  (* a racing domain lowered it first *)
@@ -296,8 +297,7 @@ let prevec_of ?(polly = false) (p : Dataset.Program.t) (a : artifact) :
               evict_over_cap s.pv_tbl s.pv_order;
               pv)
 
-(** As {!prevec_of}, checking the front end first (exactly one front-end
-    lookup, like the per-action entry points). *)
+(** As {!prevec_of}, checking the front end first. *)
 let prevec ?polly (p : Dataset.Program.t) : prevec =
   prevec_of ?polly p (checked p)
 
@@ -315,16 +315,7 @@ let scalar_ref_of (p : Dataset.Program.t) (a : artifact) : Ir.modul =
   | Some m -> m
   | None -> (
       (* lower outside the lock: deterministic, idempotent *)
-      let m =
-        Stats.time Stats.Lower (fun () ->
-            try
-              Ir_lower.lower_program ~bindings:p.Dataset.Program.p_bindings
-                a.a_ast
-            with Ir_lower.Error msg ->
-              raise
-                (Compile_error
-                   (Printf.sprintf "%s: %s" p.Dataset.Program.p_name msg)))
-      in
+      let m = fst (lower_ids p a.a_ast) in
       Mutex.protect s.sr_lock (fun () ->
           match Hashtbl.find_opt s.sr_tbl h with
           | Some winner -> winner

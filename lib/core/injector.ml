@@ -15,7 +15,7 @@ let inject_ast ?(clear_others = false) (prog : Minic.Ast.program)
     match s with
     | Minic.Ast.For f ->
         let body = stmt f.Minic.Ast.body in
-        if Extractor.has_inner_for f.Minic.Ast.body then
+        if Minic.Ast.has_inner_for f.Minic.Ast.body then
           Minic.Ast.For { f with Minic.Ast.body }
         else begin
           incr counter;

@@ -1,15 +1,14 @@
 (** The compile-and-measure pipeline ("clang/LLVM + the testbed" of
-    Figure 3): parse, check, lower, optionally run Polly, run the loop
-    vectorizer (pragmas first, baseline cost model otherwise), clean up
-    with LICM, then price compile time and simulate execution time on the
-    target machine.
+    Figure 3): one engine prices every (program, plan) point.  The front
+    end and mid-end (parse, check, lower, optionally Polly, LICM/CSE) run
+    once per program content into the shared {!Frontend.prevec} artifact;
+    each evaluation copies that module, runs the loop vectorizer under the
+    requested {!plan}, cleans up with LICM, then prices compile time and
+    simulates execution time on the target machine.
 
-    The front end (parse + sema) runs at most once per distinct program:
-    all entry points pull the checked AST from {!Frontend} and apply
-    pragma decisions with [Injector.inject_ast] directly on that AST, so a
-    35-action reward sweep pays for parsing exactly once instead of
-    round-tripping pretty-printed text per action.  Back-end phases are
-    timed under {!Stats}. *)
+    {!compile} returns the transformed module and the planner's report;
+    {!measure} returns only the two times, memoized per applied plan.
+    Back-end phases are timed under {!Stats}. *)
 
 type options = {
   target : Machine.Target.t;
@@ -124,17 +123,8 @@ let () =
         vd_shards;
       Verify.Tv.clear_cache ())
 
-(** The per-loop applied plans of a planner report, as the stable
-    signature string shared by the verdict cache and the point memo. *)
-let decisions_sig (report : Vectorizer.Planner.report) : string =
-  String.concat ";"
-    (List.map
-       (fun d ->
-         Printf.sprintf "%d,%d"
-           d.Vectorizer.Planner.d_applied.Vectorizer.Transform.vf
-           d.Vectorizer.Planner.d_applied.Vectorizer.Transform.if_)
-       report)
-
+(** The per-loop applied plans of a point, as the stable signature string
+    shared by the verdict cache and the point memo. *)
 let applied_sig (plans : Vectorizer.Transform.plan list) : string =
   String.concat ";"
     (List.map
@@ -202,166 +192,139 @@ let verify_point ~(options : options) (p : Dataset.Program.t)
         raise (Verify.Tv.Miscompile cx)
   end
 
-(** Back end: lower a checked AST and simulate it.  [name], [kernel] and
-    [bindings] come from the program the AST was derived from.
+(** What to ask the vectorizer for:
+    - [Baseline]: the baseline cost model on every loop (source pragmas
+      removed);
+    - [Uniform (vf, if_)]: the same request on every innermost loop;
+    - [Per_loop ds]: [ds] names innermost [for] loops by their source
+      ordinal ({!Extractor.extract}); loops it does not name get the
+      baseline, except that a loop the source does not count as innermost
+      keeps its own pragma.  A [for] that lowers to a non-counted loop has
+      no loop id, so its request is dropped. *)
+type plan =
+  | Baseline
+  | Uniform of int * int
+  | Per_loop of (int * Minic.Ast.loop_pragma) list
 
-    [fault_key] identifies the (program, decision) point for deterministic
-    fault injection; entry points derive it from the content hash and the
-    pragma decision so the same measurement point always faults the same
-    way (defaults to [name] for direct callers).  [sample] numbers the
-    median-of-k timing resamples of one point: noise is a pure function of
-    (fault seed, fault_key, sample), so results never depend on what other
-    evaluations — or other domains — measured in between.  [attempt]
-    numbers the supervisor's retries of the whole point: transient faults
-    are a pure function of (fault seed, fault_key, attempt), so a retry
-    can succeed deterministically. *)
-let run_ast ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) ?(timing_memo = true)
-    ~(name : string)
-    ~(kernel : string) ~(bindings : (string * int) list)
-    (prog : Minic.Ast.program) : result =
-  let fkey = Option.value fault_key ~default:name in
-  inject_faults ~faults:options.faults ~name ~fkey ~attempt;
-  let m =
-    Stats.time Stats.Lower (fun () ->
-        try Ir_lower.lower_program ~bindings prog
-        with Ir_lower.Error msg ->
-          raise (Compile_error (Printf.sprintf "%s: %s" name msg)))
-  in
-  if options.polly then
-    Stats.time Stats.Polly (fun () -> ignore (Polly.Driver.optimize m));
-  (* LICM + scalar promotion first (as -licm before the vectorizer in
-     LLVM): promotes memory reductions to register reductions the
-     vectorizer can widen, and exposes invariant address arithmetic *)
-  Stats.time Stats.Scalar_opt (fun () ->
-      ignore (Vectorizer.Licm.run_modul m);
-      ignore (Vectorizer.Cse.run_modul m);
-      ignore (Vectorizer.Licm.run_modul m));
-  let decisions =
-    Stats.time Stats.Vectorize (fun () -> Vectorizer.Planner.run_modul m)
+(* The fault key identifies the (program, plan) point for deterministic
+   fault injection and timing noise, so the same point always faults the
+   same way whichever caller evaluates it. *)
+let fault_key (a : Frontend.artifact) (plan : plan) : string =
+  match plan with
+  | Baseline -> a.Frontend.a_hash ^ "|baseline"
+  | Uniform (vf, if_) ->
+      Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
+  | Per_loop ds ->
+      a.Frontend.a_hash ^ "|d:"
+      ^ String.concat ";"
+          (List.map
+             (fun (ord, pr) ->
+               Printf.sprintf "%d=%d,%d" ord
+                 (Option.value pr.Minic.Ast.vectorize_width ~default:0)
+                 (Option.value pr.Minic.Ast.interleave_count ~default:0))
+             ds)
+
+(* The planner requests of a plan, keyed by loop id. *)
+let requests (pv : Frontend.prevec) (plan : plan) :
+    (int * Vectorizer.Transform.plan) list =
+  let preps = pv.Frontend.pv_preps in
+  match plan with
+  | Baseline -> []
+  | Uniform (vf, if_) ->
+      Vectorizer.Planner.uniform preps { Vectorizer.Transform.vf; if_ }
+  | Per_loop ds ->
+      let named =
+        List.filter_map
+          (fun (ord, pr) ->
+            Option.map
+              (fun id -> (id, pr))
+              (List.assoc_opt ord pv.Frontend.pv_loop_ids))
+          ds
+      in
+      List.filter_map
+        (fun pr ->
+          let l = pr.Vectorizer.Planner.pr_info.Analysis.Loopinfo.li_loop in
+          let pragma =
+            match List.assoc_opt l.Ir.l_id named with
+            | Some p -> Some p
+            | None -> l.Ir.l_pragma
+          in
+          Option.map
+            (fun r -> (l.Ir.l_id, r))
+            (Vectorizer.Planner.request_of_pragma pragma))
+        preps
+
+(* Everything an evaluation needs before it transforms: faults are
+   injected first (a point that cannot compile never reaches the
+   mid-end), then the shared artifact is looked up. *)
+let prepare ~(options : options) ~(attempt : int) (p : Dataset.Program.t)
+    (plan : plan) =
+  let a = Frontend.checked p in
+  let fkey = fault_key a plan in
+  inject_faults ~faults:options.faults ~name:p.Dataset.Program.p_name ~fkey
+    ~attempt;
+  let pv = Frontend.prevec_of ~polly:options.polly p a in
+  (a, pv, fkey, requests pv plan)
+
+(* copy the pristine module, vectorize the copy, clean up *)
+let transform (pv : Frontend.prevec) requests :
+    Ir.modul * Vectorizer.Planner.report =
+  let m = Ir.copy_modul pv.Frontend.pv_modul in
+  let report =
+    Stats.time Stats.Vectorize (fun () ->
+        Vectorizer.Planner.run_prepared ~requests m pv.Frontend.pv_preps)
   in
   Stats.time Stats.Scalar_opt (fun () -> ignore (Vectorizer.Licm.run_modul m));
-  let compile_seconds =
-    Machine.Compile.seconds ~model:options.compile_model m
-    *. Faults.timeout_multiplier options.faults ~key:fkey
-  in
-  let kernel_fn = find_kernel m kernel in
-  let exec_cycles =
-    Stats.time Stats.Timing (fun () ->
-        Machine.Timing.cycles ~memo:timing_memo options.target m kernel_fn)
-    *. Faults.noise_factor options.faults ~key:fkey ~sample
-  in
-  let exec_seconds =
-    exec_cycles /. (options.target.Machine.Target.ghz *. 1e9)
-  in
-  Stats.pipeline_run ();
-  { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
+  (m, report)
 
-let run_artifact ?(options = default_options) ?fault_key ?sample ?attempt
-    ?timing_memo (p : Dataset.Program.t) (prog : Minic.Ast.program) : result =
-  let r =
-    run_ast ~options ?fault_key ?sample ?attempt ?timing_memo
-      ~name:p.Dataset.Program.p_name
-      ~kernel:p.Dataset.Program.p_kernel
-      ~bindings:p.Dataset.Program.p_bindings prog
-  in
-  verify_point ~options p (Frontend.checked p)
-    ~psig:(decisions_sig r.decisions) ~modul:(lazy r.modul);
-  r
-
-(** Compile and simulate one program, honouring pragmas in its source. *)
-let run ?(options = default_options) ?sample (p : Dataset.Program.t) : result =
-  let a = Frontend.checked p in
-  run_artifact ~options ?sample ~fault_key:(a.Frontend.a_hash ^ "|asis") p
-    a.Frontend.a_ast
-
-(** Compile with a specific (vf, if) pragma on every innermost loop.
-    [timing_memo:false] makes the run reproduce the pre-memo timing-model
-    cost (same bits, more work) — the legacy reference for the sweep
-    benchmark. *)
-let run_with_pragma ?(options = default_options) ?sample ?attempt ?timing_memo
-    (p : Dataset.Program.t) ~vf ~if_ : result =
-  let a = Frontend.checked p in
-  let decisions =
-    List.init a.Frontend.a_loops (fun i -> (i, Injector.pragma_of ~vf ~if_))
-  in
-  run_artifact ~options ?sample ?attempt ?timing_memo
-    ~fault_key:(Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_)
-    p
-    (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions)
-
-(** Compile with the baseline cost model only (existing pragmas removed). *)
-let run_baseline ?(options = default_options) ?sample ?attempt ?timing_memo
-    (p : Dataset.Program.t)
-    : result =
-  let a = Frontend.checked p in
-  run_artifact ~options ?sample ?attempt ?timing_memo
-    ~fault_key:(a.Frontend.a_hash ^ "|baseline") p
-    (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions:[])
-
-(* ------------------------------------------------------------------ *)
-(* Shared-artifact fast path                                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Compile and simulate one (program, action) point on the shared
-    pre-vectorization artifact: the program is lowered and LICM/CSE'd at
-    most once per content ({!Frontend.prevec}); each call takes an
-    {!Ir.copy_modul} of that pristine module and drives the planner with an
-    explicit plan — [Some (vf, if_)] applies the pair to every innermost
-    loop exactly as {!run_with_pragma} does through pragmas, [None] is the
-    baseline cost model's own choice exactly as {!run_baseline}.
-
-    Bit-identical to the legacy per-action pipeline by construction: the
-    mid-end passes are pragma-oblivious and deterministic, the copy
-    preserves register numbering, and fault keys keep their existing
-    [hash|vf=..,if=..] / [hash|baseline] form, so seeded fault schedules
-    and timing noise are unchanged.  What changes is only the work: 35
-    actions cost one front-to-mid-end instead of 35. *)
-let run_planned ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) (p : Dataset.Program.t) ~(plan : (int * int) option) :
-    result =
-  let a = Frontend.checked p in
-  let fkey =
-    match fault_key with
-    | Some k -> k
-    | None -> (
-        match plan with
-        | Some (vf, if_) ->
-            Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
-        | None -> a.Frontend.a_hash ^ "|baseline")
-  in
-  let name = p.Dataset.Program.p_name in
-  inject_faults ~faults:options.faults ~name ~fkey ~attempt;
-  let pv = Frontend.prevec_of ~polly:options.polly p a in
-  let m = Ir.copy_modul pv.Frontend.pv_modul in
-  let plan_t =
-    Option.map
-      (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ })
-      plan
-  in
-  let decisions =
-    Stats.time Stats.Vectorize (fun () ->
-        Vectorizer.Planner.run_prepared ~plan:plan_t m pv.Frontend.pv_preps)
-  in
-  Stats.time Stats.Scalar_opt (fun () ->
-      ignore (Vectorizer.Licm.run_modul m));
-  let compile_seconds =
-    Machine.Compile.seconds ~model:options.compile_model m
-    *. Faults.timeout_multiplier options.faults ~key:fkey
-  in
+(* raw (compile seconds, exec cycles) of a transformed module, before
+   fault multipliers *)
+let price ~(options : options) (p : Dataset.Program.t) (m : Ir.modul) :
+    float * float =
+  let compile_raw = Machine.Compile.seconds ~model:options.compile_model m in
   let kernel_fn = find_kernel m p.Dataset.Program.p_kernel in
-  let exec_cycles =
+  ( compile_raw,
     Stats.time Stats.Timing (fun () ->
-        Machine.Timing.cycles options.target m kernel_fn)
-    *. Faults.noise_factor options.faults ~key:fkey ~sample
+        Machine.Timing.cycles options.target m kernel_fn) )
+
+let seconds_of_cycles (options : options) (cycles : float) : float =
+  cycles /. (options.target.Machine.Target.ghz *. 1e9)
+
+(* The tail shared by [compile] and [measure]: the point's fault
+   multipliers applied to its raw (compile seconds, exec cycles), then the
+   evaluation count and translation validation.  [sample] numbers the
+   median-of-k timing resamples of one point: noise is a pure function of
+   (fault seed, fault key, sample), so results never depend on what other
+   evaluations — or other domains — measured in between. *)
+let finish ~(options : options) ~sample p a ~fkey ~psig ~modul
+    (compile_raw, cycles_raw) : float * float =
+  let compile_seconds =
+    compile_raw *. Faults.timeout_multiplier options.faults ~key:fkey
   in
-  let exec_seconds =
-    exec_cycles /. (options.target.Machine.Target.ghz *. 1e9)
+  let exec_cycles =
+    cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample
   in
   Stats.pipeline_run ();
-  verify_point ~options p a ~psig:(decisions_sig decisions)
-    ~modul:(lazy m);
-  { modul = m; decisions; compile_seconds; exec_seconds; exec_cycles }
+  verify_point ~options p a ~psig ~modul;
+  (compile_seconds, exec_cycles)
+
+(** Compile and simulate [p] under [plan].  [attempt] numbers the
+    supervisor's retries of the whole point: transient faults are a pure
+    function of (fault seed, fault key, attempt), so a retry can succeed
+    deterministically. *)
+let compile ?(options = default_options) ?(sample = 0) ?(attempt = 0)
+    ~(plan : plan) (p : Dataset.Program.t) : result =
+  let a, pv, fkey, requests = prepare ~options ~attempt p plan in
+  let m, decisions = transform pv requests in
+  let psig =
+    applied_sig (List.map (fun d -> d.Vectorizer.Planner.d_applied) decisions)
+  in
+  let compile_seconds, exec_cycles =
+    finish ~options ~sample p a ~fkey ~psig ~modul:(lazy m)
+      (price ~options p m)
+  in
+  { modul = m; decisions; compile_seconds;
+    exec_seconds = seconds_of_cycles options exec_cycles; exec_cycles }
 
 (* ------------------------------------------------------------------ *)
 (* Memoized point evaluation                                            *)
@@ -400,55 +363,29 @@ let () =
         (fun s -> Mutex.protect s.pt_lock (fun () -> Hashtbl.reset s.pt_tbl))
         pt_shards)
 
-(* the plan each loop will actually receive — exactly the clamp
-   [Vectorizer.Planner.run_prepared] performs before transforming *)
-let applied_plans ~(plan : (int * int) option)
-    (preps : Vectorizer.Planner.prep list) : Vectorizer.Transform.plan list =
-  List.map
-    (fun pr ->
-      let leg = pr.Vectorizer.Planner.pr_leg in
-      let requested =
-        match plan with
-        | Some (vf, if_) -> { Vectorizer.Transform.vf; if_ }
-        | None ->
-            Vectorizer.Costmodel.choose
-              ~table:Vectorizer.Costmodel.default_table leg
-      in
-      let vf, if_ =
-        Vectorizer.Legality.clamp leg ~vf:requested.Vectorizer.Transform.vf
-          ~if_:requested.Vectorizer.Transform.if_
-      in
-      { Vectorizer.Transform.vf; if_ })
-    preps
-
-(** (exec_seconds, compile_seconds) of one planned point — the oracle's
-    hot path.  Same semantics as {!run_planned} (including fault keys and
-    injected failures) without materializing the transformed module, so
-    the point memo can serve repeats of an applied plan from the table. *)
-let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
-    ?(attempt = 0) (p : Dataset.Program.t) ~(plan : (int * int) option) :
-    float * float =
-  let a = Frontend.checked p in
-  let fkey =
-    match fault_key with
-    | Some k -> k
-    | None -> (
-        match plan with
-        | Some (vf, if_) ->
-            Printf.sprintf "%s|vf=%d,if=%d" a.Frontend.a_hash vf if_
-        | None -> a.Frontend.a_hash ^ "|baseline")
+(** (exec_seconds, compile_seconds) of [p] under [plan] — the oracle's hot
+    path.  The same point as {!compile} (same fault key, failures and
+    bits) without materializing the transformed module, so the point memo
+    serves repeats of an applied plan from the table. *)
+let measure ?(options = default_options) ?(sample = 0) ?(attempt = 0)
+    ~(plan : plan) (p : Dataset.Program.t) : float * float =
+  let a, pv, fkey, requests = prepare ~options ~attempt p plan in
+  let psig =
+    applied_sig
+      (List.map
+         (fun pr ->
+           Vectorizer.Planner.applied pr.Vectorizer.Planner.pr_leg
+             (List.assoc_opt (Vectorizer.Planner.loop_id pr) requests))
+         pv.Frontend.pv_preps)
   in
-  let name = p.Dataset.Program.p_name in
-  inject_faults ~faults:options.faults ~name ~fkey ~attempt;
-  let pv = Frontend.prevec_of ~polly:options.polly p a in
-  let plans = applied_plans ~plan pv.Frontend.pv_preps in
-  let psig = applied_sig plans in
   let key =
     Printf.sprintf "%s|%s|%s|%s" pv.Frontend.pv_hash (options_key options)
       p.Dataset.Program.p_kernel psig
   in
+  (* built at most once: on a memo miss, and reused by validation *)
+  let transformed = lazy (fst (transform pv requests)) in
   let s = pt_shard_of key in
-  let compile_raw, cycles_raw =
+  let raw =
     match
       Mutex.protect s.pt_lock (fun () -> Hashtbl.find_opt s.pt_tbl key)
     with
@@ -458,25 +395,7 @@ let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
     | None ->
         Stats.point_miss ();
         (* measure outside the lock: slow, deterministic, idempotent *)
-        let m = Ir.copy_modul pv.Frontend.pv_modul in
-        let plan_t =
-          Option.map (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ }) plan
-        in
-        ignore
-          (Stats.time Stats.Vectorize (fun () ->
-               Vectorizer.Planner.run_prepared ~plan:plan_t m
-                 pv.Frontend.pv_preps));
-        Stats.time Stats.Scalar_opt (fun () ->
-            ignore (Vectorizer.Licm.run_modul m));
-        let compile_raw =
-          Machine.Compile.seconds ~model:options.compile_model m
-        in
-        let kernel_fn = find_kernel m p.Dataset.Program.p_kernel in
-        let cycles_raw =
-          Stats.time Stats.Timing (fun () ->
-              Machine.Timing.cycles options.target m kernel_fn)
-        in
-        let v = (compile_raw, cycles_raw) in
+        let v = price ~options p (Lazy.force transformed) in
         Mutex.protect s.pt_lock (fun () ->
             match Hashtbl.find_opt s.pt_tbl key with
             | Some winner -> winner  (* a racing domain measured it first *)
@@ -484,48 +403,9 @@ let eval_planned ?(options = default_options) ?fault_key ?(sample = 0)
                 Hashtbl.replace s.pt_tbl key v;
                 v)
   in
-  let compile_seconds =
-    compile_raw *. Faults.timeout_multiplier options.faults ~key:fkey
+  (* a memo hit plus a verdict-cache hit never materializes the
+     transformed module, so warm verified sweeps stay memo-fast *)
+  let compile_seconds, exec_cycles =
+    finish ~options ~sample p a ~fkey ~psig ~modul:transformed raw
   in
-  let exec_cycles =
-    cycles_raw *. Faults.noise_factor options.faults ~key:fkey ~sample
-  in
-  Stats.pipeline_run ();
-  (* validate after measuring; a verdict-cache hit never re-materializes
-     the transformed module, so warm verified sweeps stay memo-fast *)
-  verify_point ~options p a ~psig
-    ~modul:
-      (lazy
-        (let m = Ir.copy_modul pv.Frontend.pv_modul in
-         let plan_t =
-           Option.map
-             (fun (vf, if_) -> { Vectorizer.Transform.vf; if_ })
-             plan
-         in
-         ignore
-           (Vectorizer.Planner.run_prepared ~plan:plan_t m
-              pv.Frontend.pv_preps);
-         ignore (Vectorizer.Licm.run_modul m);
-         m));
-  (exec_cycles /. (options.target.Machine.Target.ghz *. 1e9), compile_seconds)
-
-(** Compile with per-loop pragma decisions.  [attempt] numbers the
-    supervisor's retries of the whole point, as in {!run_with_pragma} —
-    the serve daemon threads it so transient faults on the decision path
-    can recover deterministically. *)
-let run_with_decisions ?(options = default_options) ?sample ?attempt
-    (p : Dataset.Program.t)
-    ~(decisions : (int * Minic.Ast.loop_pragma) list) : result =
-  let a = Frontend.checked p in
-  let fault_key =
-    a.Frontend.a_hash ^ "|d:"
-    ^ String.concat ";"
-        (List.map
-           (fun (ord, pr) ->
-             Printf.sprintf "%d=%d,%d" ord
-               (Option.value pr.Minic.Ast.vectorize_width ~default:0)
-               (Option.value pr.Minic.Ast.interleave_count ~default:0))
-           decisions)
-  in
-  run_artifact ~options ?sample ?attempt ~fault_key p
-    (Injector.inject_ast ~clear_others:true a.Frontend.a_ast ~decisions)
+  (seconds_of_cycles options exec_cycles, compile_seconds)

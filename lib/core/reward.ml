@@ -6,7 +6,9 @@
     the penalty reward -9 (equivalent to 10x the baseline execution time),
     teaching the agent not to over-vectorize.
 
-    All (program, action) evaluations are memoized, and the memo table is
+    Each measurement is one {!Pipeline.measure} call: the baseline is the
+    [Baseline] plan, an action is the [Uniform (vf, if_)] plan.  All
+    (program, action) evaluations are memoized, and the memo table is
     content-addressed: the key is (source hash, pipeline options, pragma
     decision), so duplicate programs in a dataset share entries regardless
     of their names — mirroring how the paper reuses its brute-force
@@ -95,12 +97,6 @@ type entry = {
 type t = {
   programs : Dataset.Program.t array;
   options : Pipeline.options;
-  legacy_pipeline : bool;
-      (** evaluate through the legacy per-action pipeline (re-lower +
-          re-optimize per action) instead of the shared-artifact fast path;
-          both compute bit-identical entries — the flag exists so the
-          equivalence gate and benches can run the two engines side by
-          side *)
   timeout_factor : float;
   penalty : float;
   noise_samples : int;
@@ -133,12 +129,11 @@ type t = {
     to a torn final line are simply re-measured identically. *)
 and journal = { j_path : string; j_oc : out_channel }
 
-let create ?(options = Pipeline.default_options) ?(legacy_pipeline = false)
-    ?(timeout_factor = 10.0)
+let create ?(options = Pipeline.default_options) ?(timeout_factor = 10.0)
     ?(penalty = -9.0) ?(noise_samples = 5) (programs : Dataset.Program.t array)
     : t =
   let opt_key = Pipeline.options_key options in
-  { programs; options; legacy_pipeline; timeout_factor; penalty;
+  { programs; options; timeout_factor; penalty;
     noise_samples;
     keys =
       Array.map
@@ -489,15 +484,8 @@ let baseline (t : t) (idx : int) : float * float =
           (fun () ->
             Supervisor.with_retries (fun ~attempt ->
                 measure t (fun ~sample ->
-                    if t.legacy_pipeline then
-                      let r =
-                        Pipeline.run_baseline ~options:t.options ~sample
-                          ~attempt ~timing_memo:false t.programs.(idx)
-                      in
-                      (r.Pipeline.exec_seconds, r.Pipeline.compile_seconds)
-                    else
-                      Pipeline.eval_planned ~options:t.options ~sample
-                        ~attempt t.programs.(idx) ~plan:None)))
+                    Pipeline.measure ~options:t.options ~sample ~attempt
+                      ~plan:Pipeline.Baseline t.programs.(idx))))
       with
       | exception e -> (
           match classify_exn e with
@@ -580,20 +568,11 @@ let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
           (fun () ->
             Supervisor.with_retries (fun ~attempt ->
                 measure t (fun ~sample ->
-                    if t.legacy_pipeline then
-                      let r =
-                        Pipeline.run_with_pragma ~options:t.options ~sample
-                          ~attempt ~timing_memo:false t.programs.(idx)
-                          ~vf:(Rl.Spaces.vf_of action)
-                          ~if_:(Rl.Spaces.if_of action)
-                      in
-                      (r.Pipeline.exec_seconds, r.Pipeline.compile_seconds)
-                    else
-                      Pipeline.eval_planned ~options:t.options ~sample
-                        ~attempt t.programs.(idx)
-                        ~plan:
-                          (Some
-                             (Rl.Spaces.vf_of action, Rl.Spaces.if_of action)))))
+                    Pipeline.measure ~options:t.options ~sample ~attempt
+                      ~plan:
+                        (Pipeline.Uniform
+                           (Rl.Spaces.vf_of action, Rl.Spaces.if_of action))
+                      t.programs.(idx))))
       with
       | exception e -> (
           match classify_exn e with

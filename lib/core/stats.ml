@@ -424,10 +424,13 @@ type snapshot = {
       (** shared pre-vectorization artifact cache ({!Frontend.prevec}) *)
   prevec_misses : int;
   point_hits : int;
-      (** evaluation-point memo ({!Pipeline.eval_planned}): actions that
-          clamp to an already-measured applied plan *)
+      (** evaluation-point memo ({!Pipeline.measure}): plans that clamp
+          to an already-measured applied plan *)
   point_misses : int;
-  timing_memo_hits : int;  (** per-loop cycle memo ({!Machine.Timing}) *)
+  timing_memo_hits : int;
+      (** always 0: the per-loop timing memo is gone.  Kept, with
+          [timing_memo_misses], because [perfbench/main.ml] is their
+          only reader. *)
   timing_memo_misses : int;
   reward_hits : int;
   reward_misses : int;
@@ -474,7 +477,6 @@ type snapshot = {
 
 let snapshot () : snapshot =
   let m = merged () in
-  let tm_hits, tm_misses = Machine.Timing.memo_stats () in
   let vm = Ir_vm.stats () in
   {
     phases =
@@ -489,8 +491,8 @@ let snapshot () : snapshot =
     prevec_misses = m.r_prevec_misses;
     point_hits = m.r_point_hits;
     point_misses = m.r_point_misses;
-    timing_memo_hits = tm_hits;
-    timing_memo_misses = tm_misses;
+    timing_memo_hits = 0;
+    timing_memo_misses = 0;
     reward_hits = m.r_reward_hits;
     reward_misses = m.r_reward_misses;
     pipeline_runs = m.r_pipeline_runs;
@@ -537,7 +539,6 @@ let snapshot () : snapshot =
   }
 
 let reset () =
-  Machine.Timing.memo_stats_reset ();
   Ir_vm.reset_stats ();
   Verify.Tv.reset_counters ();
   Rl.Sentinel.reset_counters ();
@@ -574,11 +575,6 @@ let report () : string =
     (Printf.sprintf "point memo:      %d hits / %d misses (%.1f%% hit rate)\n"
        s.point_hits s.point_misses
        (100.0 *. hit_rate ~hits:s.point_hits ~misses:s.point_misses));
-  Buffer.add_string b
-    (Printf.sprintf "timing memo:     %d hits / %d misses (%.1f%% hit rate)\n"
-       s.timing_memo_hits s.timing_memo_misses
-       (100.0
-       *. hit_rate ~hits:s.timing_memo_hits ~misses:s.timing_memo_misses));
   Buffer.add_string b
     (Printf.sprintf "reward cache:    %d hits / %d misses (%.1f%% hit rate)\n"
        s.reward_hits s.reward_misses

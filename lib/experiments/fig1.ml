@@ -28,7 +28,9 @@ type result = {
 }
 
 let run () : result =
-  let base = Neurovec.Pipeline.run_baseline dot_kernel in
+  let base =
+    Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline dot_kernel
+  in
   let baseline_plan =
     match base.Neurovec.Pipeline.decisions with
     | d :: _ ->
@@ -37,17 +39,19 @@ let run () : result =
     | [] -> (1, 1)
   in
   let t_base = base.Neurovec.Pipeline.exec_seconds in
-  let scalar =
-    (Neurovec.Pipeline.run_with_pragma dot_kernel ~vf:1 ~if_:1)
-      .Neurovec.Pipeline.exec_seconds
+  let seconds vf if_ =
+    fst
+      (Neurovec.Pipeline.measure
+         ~plan:(Neurovec.Pipeline.Uniform (vf, if_))
+         dot_kernel)
   in
+  let scalar = seconds 1 1 in
   let grid =
     List.concat_map
       (fun vf ->
         List.map
           (fun if_ ->
-            let r = Neurovec.Pipeline.run_with_pragma dot_kernel ~vf ~if_ in
-            (vf, if_, t_base /. r.Neurovec.Pipeline.exec_seconds))
+            (vf, if_, t_base /. seconds vf if_))
           (Array.to_list Rl.Spaces.if_values))
       (Array.to_list Rl.Spaces.vf_values)
   in

@@ -106,8 +106,8 @@ let contains (hay : string) (needle : string) : bool =
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
-(** Minimal structural validation of the emitted JSON, as the sweepbench
-    gate does: brace balance, required keys, no non-finite float. *)
+(** Minimal structural validation of the emitted JSON: brace balance,
+    required keys, no non-finite float. *)
 let validate (path : string) : unit =
   let ic = open_in_bin path in
   let text = really_input_string ic (in_channel_length ic) in

@@ -104,40 +104,30 @@ let seconds (t : t) (m : method_) (p : Dataset.Program.t) : float =
             ~if_:(Rl.Spaces.if_of a) ))
       (Neurovec.Extractor.extract prog)
   in
+  let run ?options plan = fst (Neurovec.Pipeline.measure ?options ~plan p) in
+  let per_loop ?options decisions =
+    run ?options (Neurovec.Pipeline.Per_loop decisions)
+  in
   match m with
-  | Baseline -> (Neurovec.Pipeline.run_baseline p).Neurovec.Pipeline.exec_seconds
-  | PollyM ->
-      (Neurovec.Pipeline.run_baseline ~options:polly_opts p)
-        .Neurovec.Pipeline.exec_seconds
+  | Baseline -> run Neurovec.Pipeline.Baseline
+  | PollyM -> run ~options:polly_opts Neurovec.Pipeline.Baseline
   | Random ->
       let rng = Nn.Rng.create (Hashtbl.hash p.Dataset.Program.p_name) in
       let a = Agents.Random_search.pick rng in
-      (Neurovec.Pipeline.run_with_pragma p ~vf:(Rl.Spaces.vf_of a)
-         ~if_:(Rl.Spaces.if_of a))
-        .Neurovec.Pipeline.exec_seconds
+      run (Neurovec.Pipeline.Uniform (Rl.Spaces.vf_of a, Rl.Spaces.if_of a))
   | NnsM ->
-      let decisions =
-        flat_decisions (fun p ->
-            Agents.Nns.predict t.nns (code_vector t.agent p))
-      in
-      (Neurovec.Pipeline.run_with_decisions p ~decisions)
-        .Neurovec.Pipeline.exec_seconds
+      per_loop
+        (flat_decisions (fun p ->
+             Agents.Nns.predict t.nns (code_vector t.agent p)))
   | DtreeM ->
-      let decisions =
-        flat_decisions (fun p ->
-            Agents.Dtree.predict t.dtree (code_vector t.agent p))
-      in
-      (Neurovec.Pipeline.run_with_decisions p ~decisions)
-        .Neurovec.Pipeline.exec_seconds
-  | RlM ->
-      let decisions = Neurovec.Framework.predict_decisions t.agent p in
-      (Neurovec.Pipeline.run_with_decisions p ~decisions)
-        .Neurovec.Pipeline.exec_seconds
+      per_loop
+        (flat_decisions (fun p ->
+             Agents.Dtree.predict t.dtree (code_vector t.agent p)))
+  | RlM -> per_loop (Neurovec.Framework.predict_decisions t.agent p)
   | BruteForce ->
       let oracle = Neurovec.Reward.create [| p |] in
       let act, _ = Neurovec.Reward.brute_force oracle 0 in
       Neurovec.Reward.exec_seconds oracle 0 act
   | PollyRl ->
-      let decisions = Neurovec.Framework.predict_decisions t.agent p in
-      (Neurovec.Pipeline.run_with_decisions ~options:polly_opts p ~decisions)
-        .Neurovec.Pipeline.exec_seconds
+      per_loop ~options:polly_opts
+        (Neurovec.Framework.predict_decisions t.agent p)

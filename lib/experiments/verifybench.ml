@@ -114,7 +114,9 @@ let modules_of (p : Dataset.Program.t) : (Ir.modul * string) list =
   let preps = Vectorizer.Planner.prepare_modul m in
   ignore
     (Vectorizer.Planner.run_prepared
-       ~plan:(Some { Vectorizer.Transform.vf = 4; if_ = 2 })
+       ~requests:
+         (Vectorizer.Planner.uniform preps
+            { Vectorizer.Transform.vf = 4; if_ = 2 })
        m preps);
   ignore (Vectorizer.Licm.run_modul m);
   [ (scalar, p.Dataset.Program.p_kernel); (m, p.Dataset.Program.p_kernel) ]

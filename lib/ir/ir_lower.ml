@@ -54,6 +54,12 @@ type ctx = {
   bindings : (string * int) list;
   locals : (string, local) Hashtbl.t;
   loop_counter : int ref;
+  innermost_counter : int ref;
+      (** source-order innermost [for] count, numbered as the extractor
+          numbers them *)
+  source_loops : (int * int) list ref;
+      (** (innermost [for] ordinal, loop id), for those that lowered to a
+          counted loop *)
   gensym_counter : int ref;
       (** per-module, so concurrent lowerings on different domains produce
           identical (and un-torn) names for identical programs *)
@@ -561,7 +567,15 @@ let rec lower_stmt ctx (s : Minic.Ast.stmt) : Ir.node list =
       in
       [ If { cond = (cc @ [ test ], Reg b); then_; else_ } ]
   | Minic.Ast.For { pragma; init; cond; step; body } ->
-      in_scope ctx (fun () -> lower_for ctx pragma init cond step body)
+      let ordinal =
+        if Minic.Ast.has_inner_for body then None
+        else begin
+          let o = !(ctx.innermost_counter) in
+          incr ctx.innermost_counter;
+          Some o
+        end
+      in
+      in_scope ctx (fun () -> lower_for ctx ?ordinal pragma init cond step body)
   | Minic.Ast.While { Minic.Ast.w_pragma = _; w_cond; w_body } ->
       let cond_code () =
         let cc, cv, cs = lower_expr ctx w_cond in
@@ -585,7 +599,7 @@ let rec lower_stmt ctx (s : Minic.Ast.stmt) : Ir.node list =
   | Minic.Ast.Empty -> []
 
 (** Lower a [for] loop, canonicalizing to a counted [Loop] when possible. *)
-and lower_for ctx pragma init cond step body : Ir.node list =
+and lower_for ctx ?ordinal pragma init cond step body : Ir.node list =
   let open Ir in
   (* Identify the induction variable from the init statement. *)
   let candidate =
@@ -660,6 +674,9 @@ and lower_for ctx pragma init cond step body : Ir.node list =
             let body_nodes = lower_stmt ctx body in
             let id = !(ctx.loop_counter) in
             incr ctx.loop_counter;
+            Option.iter
+              (fun o -> ctx.source_loops := (o, id) :: !(ctx.source_loops))
+              ordinal;
             [ Loop
                 { l_id = id; l_var = var_reg; l_init = (ci, vi);
                   l_bound = (cb, vb); l_cmp = cmpop; l_step = stepc;
@@ -675,11 +692,16 @@ and lower_for ctx pragma init cond step body : Ir.node list =
 
 (** Lower a whole program. [bindings] resolves symbolic constants in array
     bounds and loop bounds. Array-typed parameters get module-level storage;
-    an unsized leading dimension defaults to [default_param_dim]. *)
-let lower_program ?(bindings = []) ?(default_param_dim = 1024)
-    (prog : Minic.Ast.program) : Ir.modul =
+    an unsized leading dimension defaults to [default_param_dim].
+
+    Also returns, for each source-order innermost [for] (the extractor's
+    ordinal), the id of the counted loop it lowered to.  Only counted loops
+    get ids, so a [for] that lowers to a [WhileLoop] has no entry. *)
+let lower_program_ids ?(bindings = []) ?(default_param_dim = 1024)
+    (prog : Minic.Ast.program) : Ir.modul * (int * int) list =
   let m = { Ir.m_arrays = []; m_funcs = [] } in
   let loop_counter = ref 0 in
+  let innermost_counter = ref 0 and source_loops = ref [] in
   let gensym_counter = ref 0 in
   let globals = Hashtbl.create 16 in
   (* First pass: global arrays and scalars. Global scalars become
@@ -756,8 +778,8 @@ let lower_program ?(bindings = []) ?(default_param_dim = 1024)
               Hashtbl.replace locals p.Minic.Ast.p_name (LArray (uname, dims)))
             array_params;
           let ctx =
-            { m; fn; bindings; locals; loop_counter; gensym_counter;
-              default_param_dim }
+            { m; fn; bindings; locals; loop_counter; innermost_counter;
+              source_loops; gensym_counter; default_param_dim }
           in
           (* Global scalar loads: accessing them as scalars means load/store
              through their 1-element array; rewrite via locals happens lazily
@@ -768,4 +790,8 @@ let lower_program ?(bindings = []) ?(default_param_dim = 1024)
           fn.Ir.fn_body <- body;
           m.Ir.m_funcs <- m.Ir.m_funcs @ [ fn ])
     prog;
-  m
+  (m, List.rev !source_loops)
+
+let lower_program ?bindings ?default_param_dim (prog : Minic.Ast.program) :
+    Ir.modul =
+  fst (lower_program_ids ?bindings ?default_param_dim prog)

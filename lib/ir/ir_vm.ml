@@ -784,7 +784,7 @@ let compile (m : Ir.modul) ~(kernel : string) : program option =
   | Some fn -> ( try Some (compile_fn m fn) with Unsupported -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Counters (polled by Stats.snapshot, like Machine.Timing.memo_stats)  *)
+(* Counters (polled by Stats.snapshot)                                 *)
 (* ------------------------------------------------------------------ *)
 
 let c_compiles = Atomic.make 0

@@ -46,37 +46,17 @@ let chunks (tgt : Target.t) (ty : Ir.ty) : int =
   | Ir.Vec (n, s) ->
       max 1 ((n * Ir.scalar_size s * 8 + tgt.Target.vec_bits - 1) / tgt.Target.vec_bits)
 
-(** Costing context: the target, the module, the enclosing function, and
-    the per-module static tables the memoized path hoists once per
-    [cycles] call instead of recomputing per loop.  [use_memo:false] is
-    the legacy reference the sweep benchmark compares against: it
-    reproduces the pre-memo model {e implementation} — linear
-    [Ir.find_array] scans per footprint query, no hoisted tables, no key
-    computation — so the benchmark's legacy column prices what every
-    sweep cost before this optimization.  Both modes compute bit-identical
-    cycle counts. *)
+(** Costing context: the target, the enclosing function, and the
+    module's array sizes, hoisted once per [cycles] call. *)
 type ctx = {
   tgt : Target.t;
-  m : Ir.modul;
   fn : Ir.func;
-  arr_tbl : (string, int) Hashtbl.t option;
-      (** array name -> total bytes, hoisted once per module;
-          [None] in legacy mode *)
-  key_prefix : string;
-      (** target + array shapes, shared by every per-loop memo key of
-          this module; empty in legacy mode *)
-  use_memo : bool;
+  arr_bytes : (string, int) Hashtbl.t;  (** array name -> total bytes *)
 }
 
-(** Total bytes of array [base], [default] when unknown: hoisted table in
-    memo mode, the pre-memo linear scan otherwise. *)
+(** Total bytes of array [base], [default] when unknown. *)
 let array_bytes (ctx : ctx) ~(default : int) (base : string) : int =
-  match ctx.arr_tbl with
-  | Some tbl -> Option.value ~default (Hashtbl.find_opt tbl base)
-  | None -> (
-      match Ir.find_array ctx.m base with
-      | Some a -> Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem
-      | None -> default)
+  Option.value ~default (Hashtbl.find_opt ctx.arr_bytes base)
 
 (** Memory footprint (bytes) of the arrays a set of instructions touch. *)
 let footprint (ctx : ctx) (instrs : Ir.instr list) : int =
@@ -305,127 +285,6 @@ let span_footprint (ctx : ctx) (l : Ir.loop) (trip : int)
   (!total, !lines_per_iter)
 
 (* ------------------------------------------------------------------ *)
-(* Per-loop memoization                                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* A loop's cycle count is a pure function of the target, the loop subtree
-   (including init/bound code, trip hints and static bounds), the types it
-   computes with, and the shapes of the arrays it touches.  An action
-   sweep evaluates the same program 35 times — legality clamping collapses
-   some of those (vf, if) pairs onto identical transformed loops, and
-   distinct actions share scalar epilogues and untouched sibling loops —
-   so costing by content turns the repeats into table hits.
-
-   The key is the loop's serialized content: [Marshal] emits exactly the
-   fields costing reads — induction variable, init/bound code, compare,
-   step, trip hint and body (with every instruction's types, operands,
-   strides and masks) — prefixed by a digest of the target and the
-   module's array shapes.  [l_id] and [l_pragma] are deliberately left
-   out: costing never reads them, and keying on them would split entries
-   that price identically.  Marshal runs at C speed (a fraction of the
-   cost of actually costing the subtree), and the marshaled bytes are the
-   table key directly — no second digest pass over them, and, unlike
-   keying on the loop structure itself, the table retains flat strings the
-   collector marks in O(1) rather than live IR trees it must trace, so a
-   long sweep does not drag every transformed loop it ever costed into
-   major-heap mark work.  The memo is process-global and sharded like the
-   {!Frontend} caches; values are pure floats, so first-commit-wins
-   racing is unobservable. *)
-
-let memo_hits = Atomic.make 0
-let memo_misses = Atomic.make 0
-
-(** (hits, misses) of the per-loop cycle memo since the last
-    {!memo_stats_reset}. *)
-let memo_stats () = (Atomic.get memo_hits, Atomic.get memo_misses)
-
-let memo_stats_reset () =
-  Atomic.set memo_hits 0;
-  Atomic.set memo_misses 0
-
-let memo_n_shards = 16
-
-type memo_shard = { ms_lock : Mutex.t; ms_tbl : (string, float) Hashtbl.t }
-
-let memo_shards =
-  Array.init memo_n_shards (fun _ ->
-      { ms_lock = Mutex.create (); ms_tbl = Hashtbl.create 256 })
-
-let memo_shard_of (h : int) : memo_shard = memo_shards.(h mod memo_n_shards)
-
-(** Drop every memoized loop cost (called from [Frontend.clear]; counters
-    are scoped separately via {!memo_stats_reset}, typically from
-    [Stats.reset]). *)
-let memo_clear () =
-  Array.iter
-    (fun s -> Mutex.protect s.ms_lock (fun () -> Hashtbl.reset s.ms_tbl))
-    memo_shards
-
-(** Digest of the target fields + array shapes, computed once per module:
-    every cost-relevant input that is not in the loop serialization,
-    folded to 16 bytes so per-loop keys pay for it once, not per byte. *)
-let key_prefix (tgt : Target.t) (m : Ir.modul) : string =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Marshal.to_string tgt []);
-  List.iter
-    (fun a ->
-      Buffer.add_string buf
-        (Printf.sprintf "%s:%s[%s]@%d;" a.Ir.arr_name
-           (Ir.scalar_ty_to_string a.Ir.arr_elem)
-           (String.concat "," (List.map string_of_int a.Ir.arr_dims))
-           a.Ir.arr_align))
-    m.Ir.m_arrays;
-  Digest.string (Buffer.contents buf)
-
-(** Only loops this small are memoized.  The hits live in the small,
-    structurally shared loops — scalar epilogues, untouched siblings,
-    interleave-only bodies — because identical {e whole transformed
-    modules} are already collapsed upstream by the pipeline's per-point
-    memo before timing ever runs; a wide VF x IF body is unique to its
-    point, so building its (body-sized) key could never pay for itself.
-    Gating by size keeps the hits and drops that dead weight.  The gate
-    only selects {e which} loops consult the table — costing itself is
-    identical — so cycle counts are bit-equal at any threshold. *)
-let memo_max_instrs = 64
-
-(** Number of instructions in [nodes], counting stops past [limit]. *)
-let rec instrs_until (limit : int) (acc : int) (nodes : Ir.node list) : int =
-  match nodes with
-  | [] -> acc
-  | _ when acc > limit -> acc
-  | n :: rest ->
-      let acc =
-        match n with
-        | Ir.Block is -> acc + List.length is
-        | Ir.If { cond = ci, _; then_; else_ } ->
-            instrs_until limit
-              (instrs_until limit (acc + List.length ci) then_)
-              else_
-        | Ir.Loop l ->
-            instrs_until limit
-              (acc + List.length (fst l.Ir.l_init)
-              + List.length (fst l.Ir.l_bound))
-              l.Ir.l_body
-        | Ir.WhileLoop { w_cond = ci, _; w_body } ->
-            instrs_until limit (acc + List.length ci) w_body
-        | Ir.Return (Some (ci, _)) -> acc + List.length ci
-        | Ir.Return None | Ir.BreakN | Ir.ContinueN -> acc
-      in
-      instrs_until limit acc rest
-
-let memo_worthy (l : Ir.loop) : bool =
-  instrs_until memo_max_instrs 0 l.Ir.l_body <= memo_max_instrs
-
-let loop_key (ctx : ctx) (l : Ir.loop) : string =
-  (* [No_sharing] is safe (the IR is a tree, no cycles) and skips the
-     sharing table, which is most of Marshal's cost on small values *)
-  ctx.key_prefix
-  ^ Marshal.to_string
-      ( l.Ir.l_var, l.Ir.l_init, l.Ir.l_bound, l.Ir.l_cmp, l.Ir.l_step,
-        l.Ir.l_trip_hint, l.Ir.l_body )
-      [ Marshal.No_sharing ]
-
-(* ------------------------------------------------------------------ *)
 (* Recursive cost of a node tree                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -464,28 +323,6 @@ and cost_node (ctx : ctx) (node : Ir.node) : float =
   | Ir.Return None | Ir.BreakN | Ir.ContinueN -> 0.0
 
 and cost_loop (ctx : ctx) (l : Ir.loop) : float =
-  if ctx.use_memo && memo_worthy l then cost_loop_memo ctx l
-  else cost_loop_fresh ctx l
-
-and cost_loop_memo (ctx : ctx) (l : Ir.loop) : float =
-  let key = loop_key ctx l in
-  (* the first byte is from the module's prefix digest — uniform across
-     modules, so concurrent sweeps of different programs spread out *)
-  let s = memo_shard_of (Char.code key.[0]) in
-  match Mutex.protect s.ms_lock (fun () -> Hashtbl.find_opt s.ms_tbl key) with
-  | Some cached ->
-      Atomic.incr memo_hits;
-      cached
-  | None ->
-      Atomic.incr memo_misses;
-      (* cost outside the lock: slow, deterministic, idempotent *)
-      let cost = cost_loop_fresh ctx l in
-      Mutex.protect s.ms_lock (fun () ->
-          if not (Hashtbl.mem s.ms_tbl key) then
-            Hashtbl.replace s.ms_tbl key cost);
-      cost
-
-and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
   let t = ctx.tgt in
   let trip =
     match l.Ir.l_trip_hint with
@@ -501,25 +338,15 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
     let fp, miss_lines = span_footprint ctx l trip body_instrs in
     let carried = Transform_probe.carried_regs l.Ir.l_body in
     let res = new_resources () in
-    (* first-def lookup for dependence chains: an indexed table in memo
-       mode, the pre-memo linear scan in the legacy reference *)
-    let def_of =
-      if ctx.use_memo then begin
-        let tbl = Hashtbl.create 32 in
-        List.iter
-          (function
-            | Ir.Def (r, rv) ->
-                if not (Hashtbl.mem tbl r) then Hashtbl.add tbl r rv
-            | _ -> ())
-          body_instrs;
-        fun r -> Hashtbl.find_opt tbl r
-      end
-      else
-        fun r ->
-          List.find_map
-            (function Ir.Def (r', rv) when r' = r -> Some rv | _ -> None)
-            body_instrs
-    in
+    (* first-def lookup for dependence chains *)
+    let defs = Hashtbl.create 32 in
+    List.iter
+      (function
+        | Ir.Def (r, rv) ->
+            if not (Hashtbl.mem defs r) then Hashtbl.add defs r rv
+        | _ -> ())
+      body_instrs;
+    let def_of r = Hashtbl.find_opt defs r in
     res.carried_lat <- chain_bound t ~fp ~def_of carried;
     (* account the body, recursing into control flow *)
     let walk (n : Ir.node) =
@@ -574,28 +401,16 @@ and cost_loop_fresh (ctx : ctx) (l : Ir.loop) : float =
     setup +. (float_of_int trip *. per_iter) +. t.Target.branch_miss_penalty
   end
 
-let make_ctx ~(memo : bool) (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) :
-    ctx =
-  if not memo then { tgt; m; fn; arr_tbl = None; key_prefix = ""; use_memo = false }
-  else begin
-    let arr_bytes = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        Hashtbl.replace arr_bytes a.Ir.arr_name
-          (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
-      m.Ir.m_arrays;
-    { tgt; m; fn; arr_tbl = Some arr_bytes; key_prefix = key_prefix tgt m;
-      use_memo = true }
-  end
-
-(** Simulated execution time of a function, in cycles.  [memo:false]
-    bypasses the per-loop memo (and its key computation) entirely,
-    reproducing the pre-memo cost of the model; the returned floats are
-    bit-identical either way because loop costing is deterministic. *)
-let cycles ?(memo = true) (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) :
-    float =
-  cost_nodes (make_ctx ~memo tgt m fn) fn.Ir.fn_body
+(** Simulated execution time of a function, in cycles. *)
+let cycles (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
+  let arr_bytes = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      Hashtbl.replace arr_bytes a.Ir.arr_name
+        (Ir.array_elems a * Ir.scalar_size a.Ir.arr_elem))
+    m.Ir.m_arrays;
+  cost_nodes { tgt; fn; arr_bytes } fn.Ir.fn_body
 
 (** Simulated wall-clock seconds. *)
-let seconds ?memo (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
-  cycles ?memo tgt m fn /. (tgt.Target.ghz *. 1e9)
+let seconds (tgt : Target.t) (m : Ir.modul) (fn : Ir.func) : float =
+  cycles tgt m fn /. (tgt.Target.ghz *. 1e9)

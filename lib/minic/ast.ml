@@ -212,6 +212,20 @@ let rec iter_stmts f (s : stmt) =
   | While { w_body; _ } -> iter_stmts f w_body
   | _ -> ()
 
+(** Does [s] contain a [for] loop (looking through blocks, branches and
+    [while] bodies)?  A [for] whose body has none is an innermost loop:
+    the unit the extractor numbers, the injector annotates and lowering
+    maps to a loop id. *)
+let rec has_inner_for (s : stmt) : bool =
+  match s with
+  | For _ -> true
+  | Block ss -> List.exists has_inner_for ss
+  | If (_, t, f) ->
+      has_inner_for t
+      || (match f with Some f -> has_inner_for f | None -> false)
+  | While { w_body; _ } -> has_inner_for w_body
+  | _ -> false
+
 let iter_program_stmts f (p : program) =
   List.iter
     (function Func fn -> List.iter (iter_stmts f) fn.f_body | Global _ -> ())

@@ -109,14 +109,13 @@ let store_key_of ~(model_id : string)
 (* The answer text                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Byte-for-byte the output of the [neurovec predict] CLI for the same
-   (program, checkpoint): per-loop decisions, the baseline/RL timing
-   line, then the rewritten source.  The CI gate diffs the two, so any
-   format change here must change the CLI too. *)
+(** The answer for one (program, checkpoint): per-loop decisions, the
+    baseline/RL timing line ([base] and [rl] are execution seconds), then
+    the rewritten source.  [neurovec predict] prints this same text, and
+    the CI gate diffs daemon replies against it. *)
 let answer_text ~(p : Dataset.Program.t)
     ~(decisions : (int * Minic.Ast.loop_pragma) list)
-    ~(base : Neurovec.Pipeline.result) ~(rl : Neurovec.Pipeline.result) :
-    string =
+    ~(base : float) ~(rl : float) : string =
   let b = Buffer.create 1024 in
   List.iter
     (fun (ord, pr) ->
@@ -127,9 +126,7 @@ let answer_text ~(p : Dataset.Program.t)
     decisions;
   Buffer.add_string b
     (Printf.sprintf "baseline: %.3e s   RL: %.3e s   speedup %.2fx\n"
-       base.Neurovec.Pipeline.exec_seconds rl.Neurovec.Pipeline.exec_seconds
-       (base.Neurovec.Pipeline.exec_seconds
-       /. rl.Neurovec.Pipeline.exec_seconds));
+       base rl (base /. rl));
   Buffer.add_string b "rewritten source:\n";
   Buffer.add_string b
     (Neurovec.Injector.inject_source ~clear_others:true
@@ -242,14 +239,13 @@ let measure_one (t : t) (p : pending)
   match
     Neurovec.Supervisor.supervised ~name (fun () ->
         Neurovec.Supervisor.with_retries (fun ~attempt ->
-            let base =
-              Neurovec.Pipeline.run_baseline ~options:t.options ~attempt
-                p.p_program
+            let seconds plan =
+              fst
+                (Neurovec.Pipeline.measure ~options:t.options ~attempt ~plan
+                   p.p_program)
             in
-            let rl =
-              Neurovec.Pipeline.run_with_decisions ~options:t.options
-                ~attempt p.p_program ~decisions
-            in
+            let base = seconds Neurovec.Pipeline.Baseline in
+            let rl = seconds (Neurovec.Pipeline.Per_loop decisions) in
             answer_text ~p:p.p_program ~decisions ~base ~rl))
   with
   | text -> Ok text

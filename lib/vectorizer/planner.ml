@@ -1,15 +1,14 @@
-(** The vectorization planner: runs over a module, decides each innermost
-    loop's (VF, IF) — pragma first, baseline cost model otherwise — clamps
-    the decision to what legality allows, and applies the transform.
+(** The vectorization planner: decides each innermost loop's (VF, IF) —
+    the requested plan first, baseline cost model otherwise — clamps the
+    decision to what legality allows, and applies the transform.
 
     This is the "compiler" the rest of the framework drives: the RL agent
-    injects pragmas into the source, lowering carries them onto loops, and
-    this pass honours them the way Clang/LLVM honour
-    [#pragma clang loop vectorize_width(..) interleave_count(..)]. *)
+    asks for a plan per loop, and this pass honours it the way Clang/LLVM
+    honour [#pragma clang loop vectorize_width(..) interleave_count(..)]. *)
 
 type decision = {
   d_loop_id : int;
-  d_requested : Transform.plan option;  (** from pragma, if any *)
+  d_requested : Transform.plan option;  (** the request, if any *)
   d_applied : Transform.plan;
   d_legal : bool;
   d_reasons : string list;
@@ -17,54 +16,32 @@ type decision = {
 
 type report = decision list
 
-(** Decide and transform every innermost loop of a function. *)
-let run_func ?(table = Costmodel.default_table) (fn : Ir.func) : report =
-  let infos = Analysis.Loopinfo.innermost_infos fn in
-  List.map
-    (fun info ->
-      let leg = Legality.of_info info in
-      let l = info.Analysis.Loopinfo.li_loop in
-      let requested =
-        match l.Ir.l_pragma with
-        | Some { Minic.Ast.vectorize_width = vw; interleave_count = ic;
-                 vectorize_enable } -> (
-            match vectorize_enable with
-            | Some false -> Some Transform.no_vectorize
-            | _ -> (
-                match (vw, ic) with
-                | None, None -> None
-                | _ ->
-                    Some
-                      { Transform.vf = Option.value vw ~default:1;
-                        if_ = Option.value ic ~default:1 }))
-        | None -> None
-      in
-      let plan =
-        match requested with
-        | Some p ->
-            let vf, if_ = Legality.clamp leg ~vf:p.Transform.vf ~if_:p.Transform.if_ in
-            { Transform.vf; if_ }
-        | None ->
-            let p = Costmodel.choose ~table leg in
-            let vf, if_ = Legality.clamp leg ~vf:p.Transform.vf ~if_:p.Transform.if_ in
-            { Transform.vf; if_ }
-      in
-      ignore (Transform.vectorize_in_func fn info plan);
-      {
-        d_loop_id = l.Ir.l_id;
-        d_requested = requested;
-        d_applied = plan;
-        d_legal = leg.Legality.can_vectorize;
-        d_reasons = info.Analysis.Loopinfo.li_reasons;
-      })
-    infos
+(** The plan a [#pragma clang loop] requests: [vectorize(disable)] asks
+    for the scalar loop, a width-only or interleave-only pragma leaves the
+    other factor at 1, and a pragma naming neither requests nothing. *)
+let request_of_pragma (pragma : Minic.Ast.loop_pragma option) :
+    Transform.plan option =
+  match pragma with
+  | Some { Minic.Ast.vectorize_enable = Some false; _ } ->
+      Some Transform.no_vectorize
+  | Some { Minic.Ast.vectorize_width = None; interleave_count = None; _ }
+  | None ->
+      None
+  | Some { Minic.Ast.vectorize_width = vw; interleave_count = ic; _ } ->
+      Some
+        { Transform.vf = Option.value vw ~default:1;
+          if_ = Option.value ic ~default:1 }
 
-(** Run the planner over a whole module. *)
-let run_modul ?table (m : Ir.modul) : report =
-  List.concat_map (fun fn -> run_func ?table fn) m.Ir.m_funcs
+(** The plan a loop actually receives: the request (or, without one, the
+    baseline cost model's choice) clamped to what legality admits. *)
+let applied (leg : Legality.t) (request : Transform.plan option) :
+    Transform.plan =
+  let p = match request with Some p -> p | None -> Costmodel.choose leg in
+  let vf, if_ = Legality.clamp leg ~vf:p.Transform.vf ~if_:p.Transform.if_ in
+  { Transform.vf; if_ }
 
 (* ------------------------------------------------------------------ *)
-(* Shared-artifact planning: analyze once, apply per action             *)
+(* Analyze once, apply per plan                                         *)
 (* ------------------------------------------------------------------ *)
 
 (** One innermost loop's worth of per-module analysis, reusable across
@@ -80,8 +57,10 @@ type prep = {
   pr_leg : Legality.t;
 }
 
-(** Analyze every innermost loop of a module once, in [run_modul] order
-    (function order, then loop order within the function). *)
+let loop_id (pr : prep) : int = pr.pr_info.Analysis.Loopinfo.li_loop.Ir.l_id
+
+(** Analyze every innermost loop of a module once (function order, then
+    loop order within the function). *)
 let prepare_modul (m : Ir.modul) : prep list =
   List.concat_map
     (fun fn ->
@@ -92,16 +71,17 @@ let prepare_modul (m : Ir.modul) : prep list =
         (Analysis.Loopinfo.innermost_infos fn))
     m.Ir.m_funcs
 
-(** Decide and transform every innermost loop of [m] (a structural copy of
-    the module [preps] was computed on) from an explicit plan instead of
-    pragmas: [Some p] plays the role of a pragma requesting [p] on every
-    loop (clamped by legality exactly as a pragma would be), [None] falls
-    back to the baseline cost model's choice.  Produces the same report —
-    and the same transformed module, register for register — as lowering a
-    pragma-annotated AST and calling [run_modul] on it. *)
-let run_prepared ?(table = Costmodel.default_table)
-    ~(plan : Transform.plan option) (m : Ir.modul) (preps : prep list) :
-    report =
+(** The same request for every loop of [preps]. *)
+let uniform (preps : prep list) (plan : Transform.plan) :
+    (int * Transform.plan) list =
+  List.map (fun pr -> (loop_id pr, plan)) preps
+
+(** Decide and transform every innermost loop of [m] (the module [preps]
+    was computed on, or a structural copy of it).  [requests] maps loop
+    ids to requested plans; a loop without one gets the baseline cost
+    model's choice, and every choice is clamped by {!applied}. *)
+let run_prepared ~(requests : (int * Transform.plan) list)
+    (m : Ir.modul) (preps : prep list) : report =
   List.map
     (fun pr ->
       let fn =
@@ -111,35 +91,29 @@ let run_prepared ?(table = Costmodel.default_table)
         | Some fn -> fn
         | None -> invalid_arg "run_prepared: module does not match preps"
       in
-      let leg = pr.pr_leg in
-      let l = pr.pr_info.Analysis.Loopinfo.li_loop in
-      let applied =
-        match plan with
-        | Some p ->
-            let vf, if_ =
-              Legality.clamp leg ~vf:p.Transform.vf ~if_:p.Transform.if_
-            in
-            { Transform.vf; if_ }
-        | None ->
-            let p = Costmodel.choose ~table leg in
-            let vf, if_ =
-              Legality.clamp leg ~vf:p.Transform.vf ~if_:p.Transform.if_
-            in
-            { Transform.vf; if_ }
-      in
-      ignore (Transform.vectorize_in_func fn pr.pr_info applied);
+      let id = loop_id pr in
+      let requested = List.assoc_opt id requests in
+      let plan = applied pr.pr_leg requested in
+      ignore (Transform.vectorize_in_func fn pr.pr_info plan);
       {
-        d_loop_id = l.Ir.l_id;
-        d_requested = plan;
-        d_applied = applied;
-        d_legal = leg.Legality.can_vectorize;
+        d_loop_id = id;
+        d_requested = requested;
+        d_applied = plan;
+        d_legal = pr.pr_leg.Legality.can_vectorize;
         d_reasons = pr.pr_info.Analysis.Loopinfo.li_reasons;
       })
     preps
 
-(** Count of instructions in a module after planning — the compile-time
-    model's input. *)
-let modul_size (m : Ir.modul) : int =
-  List.fold_left
-    (fun acc fn -> acc + List.length (Ir.all_instrs fn.Ir.fn_body))
-    0 m.Ir.m_funcs
+(** Run the planner over a whole module, honouring each loop's own
+    pragma. *)
+let run_modul (m : Ir.modul) : report =
+  let preps = prepare_modul m in
+  let requests =
+    List.filter_map
+      (fun pr ->
+        Option.map
+          (fun r -> (loop_id pr, r))
+          (request_of_pragma pr.pr_info.Analysis.Loopinfo.li_loop.Ir.l_pragma))
+      preps
+  in
+  run_prepared ~requests m preps

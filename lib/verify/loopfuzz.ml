@@ -197,7 +197,9 @@ let check (p : Dataset.Program.t) ~(vf : int) ~(if_ : int) :
   let preps = Vectorizer.Planner.prepare_modul m in
   let report =
     Vectorizer.Planner.run_prepared
-      ~plan:(Some { Vectorizer.Transform.vf; if_ })
+      ~requests:
+        (Vectorizer.Planner.uniform preps
+           { Vectorizer.Transform.vf; if_ })
       m preps
   in
   ignore (Vectorizer.Licm.run_modul m);

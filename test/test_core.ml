@@ -32,6 +32,9 @@ let two_loops_src =
 
 let prog name src = Dataset.Program.make ~family:"test" name src
 
+let uniform vf if_ p =
+  Neurovec.Pipeline.compile ~plan:(Neurovec.Pipeline.Uniform (vf, if_)) p
+
 (* ------------------------------------------------------------------ *)
 (* Extractor                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -52,7 +55,7 @@ let test_extract_nested_context_is_outer () =
       match site.Neurovec.Extractor.context with
       | Minic.Ast.For f ->
           Alcotest.(check bool) "outer loop contains a for" true
-            (Neurovec.Extractor.has_inner_for f.Minic.Ast.body)
+            (Minic.Ast.has_inner_for f.Minic.Ast.body)
       | _ -> Alcotest.fail "context is not a for loop")
   | _ -> Alcotest.fail "expected exactly one innermost site"
 
@@ -187,8 +190,8 @@ let test_inject_ast_ordinals_agree_with_extractor () =
 
 let test_pipeline_baseline_vs_pragma () =
   let p = prog "t" simple_src in
-  let base = Neurovec.Pipeline.run_baseline p in
-  let wide = Neurovec.Pipeline.run_with_pragma p ~vf:16 ~if_:1 in
+  let base = Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p in
+  let wide = uniform 16 1 p in
   Alcotest.(check bool) "times positive" true
     (base.Neurovec.Pipeline.exec_seconds > 0.0
     && wide.Neurovec.Pipeline.exec_seconds > 0.0);
@@ -198,70 +201,63 @@ let test_pipeline_baseline_vs_pragma () =
 
 let test_pipeline_compile_time_grows () =
   let p = prog "t" simple_src in
-  let small = Neurovec.Pipeline.run_with_pragma p ~vf:2 ~if_:1 in
-  let huge = Neurovec.Pipeline.run_with_pragma p ~vf:64 ~if_:16 in
+  let small = uniform 2 1 p in
+  let huge = uniform 64 16 p in
   Alcotest.(check bool) "compile time grows with VF*IF" true
     (huge.Neurovec.Pipeline.compile_seconds
      > 2.0 *. small.Neurovec.Pipeline.compile_seconds)
 
 let test_pipeline_deterministic () =
   let p = prog "t" simple_src in
-  let a = Neurovec.Pipeline.run_baseline p in
-  let b = Neurovec.Pipeline.run_baseline p in
+  let a = Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p in
+  let b = Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p in
   Alcotest.(check (float 0.0)) "deterministic seconds"
     a.Neurovec.Pipeline.exec_seconds b.Neurovec.Pipeline.exec_seconds
 
 let test_pipeline_missing_kernel () =
   let p = { (prog "t" simple_src) with Dataset.Program.p_kernel = "nope" } in
-  match Neurovec.Pipeline.run_baseline p with
+  match Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p with
   | exception Neurovec.Pipeline.Compile_error _ -> ()
   | _ -> Alcotest.fail "expected Compile_error"
 
-(* Regression: malformed programs used to escape run_baseline /
-   run_with_pragma / run_with_decisions as raw Minic.Parser.Error because
-   those entry points parsed outside run's try/with. *)
-let test_pipeline_wraps_parse_errors () =
-  let p = prog "bad" "int kernel( { return 0; }" in
-  let expect_compile_error label f =
-    match f () with
-    | exception Neurovec.Pipeline.Compile_error _ -> ()
-    | exception e ->
-        Alcotest.failf "%s: expected Compile_error, got %s" label
-          (Printexc.to_string e)
-    | _ -> Alcotest.failf "%s: expected Compile_error" label
+(* Malformed programs surface as [Compile_error] from both evaluation
+   functions under every kind of plan, never as a raw parser or sema
+   exception. *)
+let expect_compile_error_everywhere (p : Dataset.Program.t) =
+  let plans =
+    [ ("baseline", Neurovec.Pipeline.Baseline);
+      ("uniform", Neurovec.Pipeline.Uniform (4, 2));
+      ("per-loop", Neurovec.Pipeline.Per_loop []) ]
   in
-  expect_compile_error "run" (fun () -> Neurovec.Pipeline.run p);
-  expect_compile_error "run_baseline" (fun () ->
-      Neurovec.Pipeline.run_baseline p);
-  expect_compile_error "run_with_pragma" (fun () ->
-      Neurovec.Pipeline.run_with_pragma p ~vf:4 ~if_:2);
-  expect_compile_error "run_with_decisions" (fun () ->
-      Neurovec.Pipeline.run_with_decisions p ~decisions:[])
+  List.iter
+    (fun (label, plan) ->
+      let check what f =
+        match f () with
+        | exception Neurovec.Pipeline.Compile_error _ -> ()
+        | exception e ->
+            Alcotest.failf "%s %s: expected Compile_error, got %s" what label
+              (Printexc.to_string e)
+        | _ -> Alcotest.failf "%s %s: expected Compile_error" what label
+      in
+      check "compile" (fun () -> ignore (Neurovec.Pipeline.compile ~plan p));
+      check "measure" (fun () -> ignore (Neurovec.Pipeline.measure ~plan p)))
+    plans
+
+let test_pipeline_wraps_parse_errors () =
+  expect_compile_error_everywhere (prog "bad" "int kernel( { return 0; }")
 
 let test_pipeline_wraps_sema_errors () =
   (* unbound symbolic array bound: a semantic, not syntactic, failure *)
-  let p =
-    prog "unbound" "int a[N]; int kernel() { return a[0]; }"
-  in
-  let check label f =
-    match f () with
-    | exception Neurovec.Pipeline.Compile_error _ -> ()
-    | exception e ->
-        Alcotest.failf "%s: expected Compile_error, got %s" label
-          (Printexc.to_string e)
-    | _ -> Alcotest.failf "%s: expected Compile_error" label
-  in
-  check "run_baseline" (fun () -> Neurovec.Pipeline.run_baseline p);
-  check "run_with_pragma" (fun () ->
-      Neurovec.Pipeline.run_with_pragma p ~vf:4 ~if_:2)
+  expect_compile_error_everywhere
+    (prog "unbound" "int a[N]; int kernel() { return a[0]; }")
 
 (* The front-end artifact cache must not change results: a cold and a warm
    evaluation of the same (program, pragma) point are identical. *)
 let test_frontend_cache_identical_results () =
   let p = prog "t" simple_src in
   Neurovec.Frontend.clear ();
-  let cold = Neurovec.Pipeline.run_with_pragma p ~vf:8 ~if_:2 in
-  let warm = Neurovec.Pipeline.run_with_pragma p ~vf:8 ~if_:2 in
+  let cold = uniform 8 2 p in
+  let warm = uniform 8 2 p in
   Alcotest.(check (float 0.0)) "exec" cold.Neurovec.Pipeline.exec_seconds
     warm.Neurovec.Pipeline.exec_seconds;
   Alcotest.(check (float 0.0)) "compile" cold.Neurovec.Pipeline.compile_seconds

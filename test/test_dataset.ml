@@ -30,7 +30,7 @@ let test_all_generated_compile_and_run () =
   let corpus = Dataset.Loopgen.generate ~seed:3 150 in
   Array.iter
     (fun p ->
-      match Neurovec.Pipeline.run_baseline p with
+      match Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p with
       | r ->
           if not (r.Neurovec.Pipeline.exec_seconds > 0.0) then
             Alcotest.failf "%s: nonpositive time" p.Dataset.Program.p_name
@@ -107,7 +107,9 @@ let test_suites_compile () =
     (fun (label, progs) ->
       Array.iter
         (fun p ->
-          match Neurovec.Pipeline.run_baseline p with
+          match
+            Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p
+          with
           | _ -> ()
           | exception e ->
               Alcotest.failf "%s/%s: %s" label p.Dataset.Program.p_name

@@ -161,7 +161,9 @@ let test_all_actions_preserve_semantics () =
           check_against_ref
             ~what:(Printf.sprintf "(VF=%d, IF=%d)" vf if_)
             p
-            (Neurovec.Pipeline.run_with_pragma p ~vf ~if_))
+            (Neurovec.Pipeline.compile
+               ~plan:(Neurovec.Pipeline.Uniform (vf, if_))
+               p))
         Rl.Spaces.all_actions)
     (Lazy.force corpus)
 
@@ -169,7 +171,7 @@ let test_baseline_preserves_semantics () =
   Array.iter
     (fun p ->
       check_against_ref ~what:"baseline cost model" p
-        (Neurovec.Pipeline.run_baseline p))
+        (Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p))
     (Lazy.force corpus)
 
 (* qcheck: a fresh random program under a random action — different seeds
@@ -189,8 +191,10 @@ let prop_random_program_random_action =
       let r_ref, st_ref = scalar_ref p in
       let r_vec, st_vec =
         interp
-          (Neurovec.Pipeline.run_with_pragma p ~vf ~if_).Neurovec.Pipeline
-            .modul p.Dataset.Program.p_kernel
+          (Neurovec.Pipeline.compile
+             ~plan:(Neurovec.Pipeline.Uniform (vf, if_))
+             p)
+            .Neurovec.Pipeline.modul p.Dataset.Program.p_kernel
       in
       value_equiv r_ref r_vec && mem_equiv st_ref st_vec = None)
 

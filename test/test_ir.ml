@@ -447,7 +447,9 @@ let transform_copy ?(vf = 4) ?(if_ = 2) (c : Ir.modul) : unit =
   let preps = Vectorizer.Planner.prepare_modul c in
   ignore
     (Vectorizer.Planner.run_prepared
-       ~plan:(Some { Vectorizer.Transform.vf; if_ }) c preps);
+       ~requests:
+         (Vectorizer.Planner.uniform preps
+            { Vectorizer.Transform.vf; if_ }) c preps);
   ignore (Vectorizer.Licm.run_modul c)
 
 let prop_copy_isolates_transforms =

@@ -6,11 +6,7 @@ let tgt = Machine.Target.skylake_avx2
 
 let compile ?(vf = 1) ?(if_ = 1) src =
   let p = Dataset.Program.make ~family:"test" "t" src in
-  let r =
-    if vf = 1 && if_ = 1 then Neurovec.Pipeline.run_with_pragma p ~vf:1 ~if_:1
-    else Neurovec.Pipeline.run_with_pragma p ~vf ~if_
-  in
-  r
+  Neurovec.Pipeline.compile ~plan:(Neurovec.Pipeline.Uniform (vf, if_)) p
 
 let cycles ?vf ?if_ src = (compile ?vf ?if_ src).Neurovec.Pipeline.exec_cycles
 
@@ -111,7 +107,9 @@ let test_timing_deterministic () =
 let cycles_on target src ~vf ~if_ =
   let p = Dataset.Program.make ~family:"test" "t" src in
   let options = { Neurovec.Pipeline.default_options with target } in
-  (Neurovec.Pipeline.run_with_pragma ~options p ~vf ~if_)
+  (Neurovec.Pipeline.compile ~options
+     ~plan:(Neurovec.Pipeline.Uniform (vf, if_))
+     p)
     .Neurovec.Pipeline.exec_cycles
 
 let test_narrow_target_prefers_narrow_vf () =
@@ -136,7 +134,7 @@ let test_avx512_likes_wider () =
 let test_compile_time_monotone_in_width () =
   let p = Dataset.Program.make ~family:"test" "t" dot_src in
   let c ~vf ~if_ =
-    (Neurovec.Pipeline.run_with_pragma p ~vf ~if_)
+    (Neurovec.Pipeline.compile ~plan:(Neurovec.Pipeline.Uniform (vf, if_)) p)
       .Neurovec.Pipeline.compile_seconds
   in
   Alcotest.(check bool) "if grows" true (c ~vf:4 ~if_:8 > c ~vf:4 ~if_:1);

@@ -5,6 +5,7 @@ let () =
    @ Test_vectorizer.suite @ Test_polly.suite @ Test_machine.suite
    @ Test_nn.suite @ Test_embedding.suite @ Test_rl.suite @ Test_agents.suite
    @ Test_dataset.suite @ Test_core.suite @ Test_faults.suite
-   @ Test_differential.suite @ Test_parallel.suite @ Test_golden.suite
+   @ Test_differential.suite @ Test_parallel.suite @ Test_engine.suite
+   @ Test_golden.suite
    @ Test_supervisor.suite @ Test_serve.suite @ Test_verify.suite
    @ Test_selfheal.suite)

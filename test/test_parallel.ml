@@ -1,16 +1,12 @@
 (* The parallel evaluation engine and its determinism contract.
 
-   Four layers:
+   Three layers:
    - Parpool itself: ordering, exception choice, nesting, jobs=1 serial
      path, with_jobs restoration.
    - Equivalence: a --jobs 4 run must be bit-identical to --jobs 1 —
      reward tables, quarantine reports, probe results, and the bytes of a
      checkpoint written after training — including under an active fault
      spec (compile failures, traps, fuel, timeout spikes, timing noise).
-   - Engines: the shared-artifact fast path (lower once, vectorize per
-     action, memoized timing) must be bit-identical to the legacy
-     per-action pipeline — serially, on the pool, with and without
-     faults, down to trained checkpoint bytes.
    - Stress: four domains hammering one oracle's caches keep the merged
      statistics coherent and the cached values equal to a serial rerun. *)
 
@@ -82,16 +78,12 @@ let test_with_jobs_restores () =
 (* Serial vs parallel equivalence                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* a fresh sweep of the same corpus at a given pool size and through a
-   chosen engine (legacy per-action pipeline vs shared-artifact fast
-   path); fresh caches so the second run cannot coast on the first run's
-   memoization *)
-let sweep ?(legacy = false) ?(options = fault_options) ~jobs
+(* a fresh sweep of the same corpus at a given pool size; fresh caches
+   so the second run cannot coast on the first run's memoization *)
+let sweep ?(options = fault_options) ~jobs
     (programs : Dataset.Program.t array) =
   Neurovec.Frontend.clear ();
-  let oracle =
-    Neurovec.Reward.create ~legacy_pipeline:legacy ~options programs
-  in
+  let oracle = Neurovec.Reward.create ~options programs in
   let results =
     Neurovec.Parpool.with_jobs jobs (fun () ->
         Neurovec.Reward.sweep_all oracle)
@@ -147,22 +139,19 @@ let test_probe_samples_identical () =
     s_samples
 
 (* training end to end: same corpus, same seed, same faults -> the bytes
-   of the saved checkpoint must not depend on the pool size or on which
-   evaluation engine measured the rewards *)
+   of the saved checkpoint must not depend on the pool size *)
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
   s
 
-let train_checkpoint ?(legacy = false) ?(batched = true)
-    ?(options = fault_options) ~jobs path =
+let train_checkpoint ?(batched = true) ?(options = fault_options) ~jobs path =
   Neurovec.Frontend.clear ();
   Neurovec.Parpool.with_jobs jobs (fun () ->
       let corpus = Dataset.Loopgen.generate ~seed:55 16 in
       let fw =
-        Neurovec.Framework.create ~options ~legacy_pipeline:legacy ~seed:3
-          corpus
+        Neurovec.Framework.create ~options ~seed:3 corpus
       in
       ignore
         (Neurovec.Framework.train fw ~batched
@@ -184,49 +173,6 @@ let test_training_checkpoint_bytes_identical () =
       Alcotest.(check bool)
         "checkpoint bytes identical" true
         (read_file p1 = read_file p4))
-
-(* ------------------------------------------------------------------ *)
-(* Legacy per-action pipeline vs shared-artifact fast path              *)
-(* ------------------------------------------------------------------ *)
-
-(* the shared-artifact engine (lower once, vectorize per action, memoized
-   timing) must be indistinguishable from the legacy pipeline it
-   replaced: same rewards to the bit, same quarantine reports, same
-   checkpoint bytes — serially, on the pool, with and without an active
-   fault spec *)
-
-let engine_corpus () =
-  Array.append
-    (Array.sub Dataset.Llvm_suite.programs 0 4)
-    (Dataset.Loopgen.generate ~seed:77 8)
-
-let test_engines_identical_plain () =
-  let programs = engine_corpus () in
-  let options = Neurovec.Pipeline.default_options in
-  check_sweeps_equal
-    (sweep ~legacy:true ~options ~jobs:1 programs)
-    (sweep ~legacy:false ~options ~jobs:1 programs)
-
-let test_engines_identical_faults () =
-  let programs = engine_corpus () in
-  check_sweeps_equal
-    (sweep ~legacy:true ~jobs:1 programs)
-    (sweep ~legacy:false ~jobs:1 programs)
-
-let test_engines_identical_pool () =
-  (* legacy serial vs fast path fanned across 4 domains, faults active *)
-  let programs = engine_corpus () in
-  check_sweeps_equal
-    (sweep ~legacy:true ~jobs:1 programs)
-    (sweep ~legacy:false ~jobs:4 programs)
-
-let test_engines_checkpoint_bytes_identical () =
-  with_two_checkpoints (fun pl pf ->
-      train_checkpoint ~legacy:true ~jobs:1 pl;
-      train_checkpoint ~legacy:false ~jobs:1 pf;
-      Alcotest.(check bool)
-        "legacy and fast-path training produce identical checkpoints" true
-        (read_file pl = read_file pf))
 
 (* ------------------------------------------------------------------ *)
 (* Batched vs scalar rollouts: trained-checkpoint bytes                 *)
@@ -321,17 +267,6 @@ let suite =
           test_probe_samples_identical;
         Alcotest.test_case "training checkpoints byte-identical" `Slow
           test_training_checkpoint_bytes_identical;
-      ] );
-    ( "parallel.engines",
-      [
-        Alcotest.test_case "legacy vs shared-artifact, no faults" `Slow
-          test_engines_identical_plain;
-        Alcotest.test_case "legacy vs shared-artifact under faults" `Slow
-          test_engines_identical_faults;
-        Alcotest.test_case "legacy serial vs shared-artifact pool" `Slow
-          test_engines_identical_pool;
-        Alcotest.test_case "legacy vs shared-artifact checkpoints" `Slow
-          test_engines_checkpoint_bytes_identical;
       ] );
     ( "batched.checkpoint",
       [

@@ -338,8 +338,10 @@ let expected_answer (p : Dataset.Program.t) : string =
            (Option.value pr.Minic.Ast.vectorize_width ~default:1)
            (Option.value pr.Minic.Ast.interleave_count ~default:1)))
     decisions;
-  let base = Neurovec.Pipeline.run_baseline p in
-  let rl = Neurovec.Pipeline.run_with_decisions p ~decisions in
+  let base = Neurovec.Pipeline.compile ~plan:Neurovec.Pipeline.Baseline p in
+  let rl =
+    Neurovec.Pipeline.compile ~plan:(Neurovec.Pipeline.Per_loop decisions) p
+  in
   Buffer.add_string b
     (Printf.sprintf "baseline: %.3e s   RL: %.3e s   speedup %.2fx\n"
        base.Neurovec.Pipeline.exec_seconds rl.Neurovec.Pipeline.exec_seconds

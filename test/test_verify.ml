@@ -549,7 +549,9 @@ let fuzz_modules (p : Dataset.Program.t) ~vf ~if_ =
   let preps = Vectorizer.Planner.prepare_modul m in
   ignore
     (Vectorizer.Planner.run_prepared
-       ~plan:(Some { Vectorizer.Transform.vf; if_ })
+       ~requests:
+         (Vectorizer.Planner.uniform preps
+            { Vectorizer.Transform.vf; if_ })
        m preps);
   ignore (Vectorizer.Licm.run_modul m);
   (scalar, m)
