@@ -188,10 +188,12 @@ let nan_grad_hit (s : spec) ~(update : int) ~(rollbacks : int) : bool =
 
 (** Install the spec's disk-fault layer into {!Fsio}, so every durable
     writer (checkpoint, reward journal, serve store) sees its per-attempt
-    ENOSPC/EIO/short-write failures.  Each decision is pure in
-    (seed, operation, file basename, attempt index): deterministic at any
-    pool size, and transient — the same logical write can fail now and
-    succeed on retry.  A spec with no disk knobs uninstalls the layer. *)
+    ENOSPC/EIO/short-write failures — except the checkpoint lineage
+    audit (op ["lineage"]), which must outlive the chaos it records.
+    Each decision is pure in (seed, operation, file basename, attempt
+    index): deterministic at any pool size, and transient — the same
+    logical write can fail now and succeed on retry.  A spec with no disk
+    knobs uninstalls the layer. *)
 let install_disk (s : spec) : unit =
   if not (disk_active s) then Fsio.set_injector None
   else
@@ -202,7 +204,8 @@ let install_disk (s : spec) : unit =
              Printf.sprintf "%s\x00%s\x00%d" op (Filename.basename path)
                index
            in
-           if s.p_disk_full > 0.0 && hash01 s ~key ~salt:"disk_full" < s.p_disk_full
+           if op = "lineage" then None
+           else if s.p_disk_full > 0.0 && hash01 s ~key ~salt:"disk_full" < s.p_disk_full
            then Some Fsio.Disk_full
            else if
              s.p_disk_err > 0.0 && hash01 s ~key ~salt:"disk_err" < s.p_disk_err

@@ -116,18 +116,15 @@ type t = {
           whose failure kind is [Miscompiled] *)
   mutable evaluations : int;  (** non-memoized compile+run count *)
   mutable hits : int;  (** memoized reward lookups served from cache *)
-  mutable journal : journal option;
-      (** write-ahead journal; committed entries are appended under the
+  mutable journal : Fsio.Log.t option;
+      (** write-ahead journal: one flushed record per committed baseline,
+          reward entry, quarantine and refutation, appended under the
           oracle lock, so the file never claims a result the tables don't
-          hold *)
+          hold.  On resume, {!replay_journal} pre-populates the tables so
+          completed episodes are never re-measured; because every
+          measurement is deterministic, records lost to a torn tail or a
+          CRC reject are simply re-measured identically. *)
 }
-
-(** The write-ahead reward journal: one flushed line per committed
-    baseline, reward entry and quarantine.  On resume, {!replay_journal}
-    pre-populates the oracle's tables so completed episodes are never
-    re-measured; because every measurement is deterministic, records lost
-    to a torn final line are simply re-measured identically. *)
-and journal = { j_path : string; j_oc : out_channel }
 
 let create ?(options = Pipeline.default_options) ?(timeout_factor = 10.0)
     ?(penalty = -9.0) ?(noise_samples = 5) (programs : Dataset.Program.t array)
@@ -152,209 +149,106 @@ let locked (t : t) (f : unit -> 'a) : 'a = Mutex.protect t.lock f
 (* Write-ahead journal                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Format: a header line, then one tab-separated record per committed
-   result.  Floats are serialized as the hex of their IEEE bits, so replay
-   is bit-exact.  Every record ends with a "." terminator field: a line
-   torn by a crash mid-write loses it and is skipped by replay.
+(* Records are {!Fsio.Log} records under [journal_header], keyed by the
+   content key; floats are their raw IEEE bits (big-endian), so replay is
+   bit-exact and the log's CRC covers every bit replayed:
 
-     # neurovec-journal 1
-     B <key> <exec bits> <compile bits> .
-     E <key> <reward bits> <penalized 0|1> <failure name | -> .
-     Q <key> <escaped reason> .
-     V <key> <escaped counterexample> .
+     B <key> <exec bits><compile bits>
+     E <key> <reward bits><penalized '0'|'1'><failure name, or empty>
+     Q <key> <reason>
+     V <key> <counterexample>
 *)
 
-let journal_header = "# neurovec-journal 1"
+let journal_header = "# neurovec-journal 2\n"
 
-let bits (f : float) : string = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+let float_bits (fs : float list) : string =
+  let b = Bytes.create (8 * List.length fs) in
+  List.iteri (fun i f -> Bytes.set_int64_be b (8 * i) (Int64.bits_of_float f)) fs;
+  Bytes.to_string b
 
-let float_of_bits_opt (s : string) : float option =
-  match Int64.of_string_opt ("0x" ^ s) with
-  | Some b -> Some (Int64.float_of_bits b)
-  | None -> None
+let float_at (s : string) (i : int) : float =
+  Int64.float_of_bits (String.get_int64_be s (8 * i))
 
 (* called with the oracle lock held, immediately after a fresh commit.
-   The append is guarded by the disk-fault layer ({!Fsio}) and fails
-   closed: on a fault the file is truncated back to its pre-append
-   length — a short write must not leave a torn record for replay to
-   trip over — earlier records stay untouched, and the channel is
-   reopened so the next commit retries with a fresh attempt index.  The
-   in-memory tables already hold the result, so a lost line degrades
-   resume coverage, never correctness. *)
-let journal_line (t : t) (fields : string list) : unit =
+   The append fails closed ({!Fsio.Log.append}): the in-memory tables
+   already hold the result, so a lost record degrades resume coverage,
+   never correctness. *)
+let journal_record (t : t) (kind : char) (key : string) (value : string) :
+    unit =
   match t.journal with
-  | None -> ()
-  | Some j -> (
-      let line = String.concat "\t" (fields @ [ "." ]) ^ "\n" in
-      (* the channel is flushed after every line, so the file length is
-         the true append offset (pos_out is unreliable on append-mode
-         channels before their first write) *)
-      let before =
-        try Some (Unix.stat j.j_path).Unix.st_size with Unix.Unix_error _ -> None
-      in
-      match Fsio.output ~op:"journal" ~path:j.j_path j.j_oc line with
-      | () -> Stats.record_journal_append ()
-      | exception Fsio.Disk_fault _ ->
-          Fsio.record_write_error ();
-          close_out_noerr j.j_oc;
-          (match before with
-          | Some len -> ignore (Fsio.truncate_back j.j_path len)
-          | None -> ());
-          (match
-             open_out_gen
-               [ Open_append; Open_creat; Open_binary ]
-               0o644 j.j_path
-           with
-          | oc -> t.journal <- Some { j with j_oc = oc }
-          | exception Sys_error _ ->
-              (* the disk is gone for good: degrade to in-memory only *)
-              t.journal <- None))
+  | Some log when Fsio.Log.append log kind key value ->
+      Stats.record_journal_append ()
+  | _ -> ()
 
-let journal_baseline t key (e, c) =
-  journal_line t [ "B"; key; bits e; bits c ]
+let journal_baseline t key (e, c) = journal_record t 'B' key (float_bits [ e; c ])
 
 let journal_entry t key (e : entry) =
-  journal_line t
-    [ "E"; key; bits e.e_reward;
-      (if e.e_penalized then "1" else "0");
-      (match e.e_failure with Some k -> failure_name k | None -> "-") ]
+  journal_record t 'E' key
+    (float_bits [ e.e_reward ]
+    ^ (if e.e_penalized then "1" else "0")
+    ^ match e.e_failure with Some k -> failure_name k | None -> "")
 
-let journal_quarantine t key why =
-  journal_line t [ "Q"; key; String.escaped why ]
+let journal_quarantine t key why = journal_record t 'Q' key why
 
-let journal_refutation t key cx =
-  journal_line t [ "V"; key; String.escaped cx ]
+let journal_refutation t key cx = journal_record t 'V' key cx
 
-(** Attach a write-ahead journal at [path] (append mode; the header is
-    written when the file is new or empty).  Every subsequently committed
-    baseline, reward entry and quarantine is flushed there, so a killed
-    run can {!replay_journal} the completed episodes instead of
-    re-measuring them. *)
+(** Attach a write-ahead journal at [path], created when missing.  A
+    damaged journal — or one of an older format — is quarantined and its
+    survivors rewritten first ({!Fsio.Log.open_}); if that rewrite hits a
+    disk fault the oracle runs without a journal.  Every subsequently
+    committed baseline, reward entry, quarantine and refutation is
+    flushed there, so a killed run can {!replay_journal} the completed
+    episodes instead of re-measuring them. *)
 let set_journal (t : t) (path : string) : unit =
   locked t (fun () ->
-      (match t.journal with Some j -> close_out_noerr j.j_oc | None -> ());
-      (* a stale .tmp next to the journal is an interrupted atomic write
-         by some sibling artifact: dead bytes, swept, never replayed *)
-      ignore (Fsio.sweep_tmp path);
-      (* a SIGKILL mid-append leaves a torn final line (no trailing
-         newline).  Trim it back to the last complete line before opening
-         for append, so new records never glue onto torn bytes: the torn
-         tail is dropped, every earlier line replays intact. *)
-      (if Sys.file_exists path then
-         try
-           let ic = open_in_bin path in
-           let n = in_channel_length ic in
-           let keep =
-             if n = 0 then 0
-             else begin
-               seek_in ic (n - 1);
-               if input_char ic = '\n' then n
-               else begin
-                 (* scan back for the last newline *)
-                 let rec back i =
-                   if i < 0 then 0
-                   else begin
-                     seek_in ic i;
-                     if input_char ic = '\n' then i + 1 else back (i - 1)
-                   end
-                 in
-                 back (n - 2)
-               end
-             end
-           in
-           close_in_noerr ic;
-           if keep < n then ignore (Fsio.truncate_back path keep)
-         with Sys_error _ -> ());
-      let fresh =
-        (not (Sys.file_exists path))
-        || (let ic = open_in_bin path in
-            let n = in_channel_length ic in
-            close_in ic;
-            n = 0)
-      in
-      let oc =
-        open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-      in
-      if fresh then begin
-        output_string oc (journal_header ^ "\n");
-        flush oc
-      end;
-      t.journal <- Some { j_path = path; j_oc = oc })
-
-let journal_path (t : t) : string option =
-  locked t (fun () -> Option.map (fun j -> j.j_path) t.journal)
+      Option.iter Fsio.Log.close t.journal;
+      t.journal <-
+        (match Fsio.Log.open_ ~op:"journal" ~header:journal_header path with
+        | log, _ -> Some log
+        | exception Fsio.Disk_fault _ ->
+            Fsio.record_write_error ();
+            None))
 
 let close_journal (t : t) : unit =
   locked t (fun () ->
-      match t.journal with
-      | None -> ()
-      | Some j ->
-          close_out_noerr j.j_oc;
-          t.journal <- None)
+      Option.iter Fsio.Log.close t.journal;
+      t.journal <- None)
 
-let unescape (s : string) : string =
-  try Scanf.sscanf ("\"" ^ s ^ "\"") "%S%!" Fun.id with _ -> s
+(* insert one replayed record, first record wins; whether it was new.
+   Called with the oracle lock held. *)
+let replay_record (t : t) ({ kind; key; value = v; _ } : Fsio.Log.record) :
+    bool =
+  let first tbl x =
+    (not (Hashtbl.mem tbl key)) && (Hashtbl.replace tbl key x; true)
+  in
+  match kind with
+  | 'B' when String.length v = 16 -> first t.baselines (float_at v 0, float_at v 1)
+  | 'E' when String.length v >= 9 && (v.[8] = '0' || v.[8] = '1') -> (
+      match String.sub v 9 (String.length v - 9) with
+      | name when name <> "" && failure_of_name name = None -> false
+      | name ->
+          first t.cache
+            { e_reward = float_at v 0; e_penalized = v.[8] = '1';
+              e_failure = failure_of_name name })
+  | 'Q' -> first t.quarantined v
+  | 'V' -> first t.refutations v
+  | _ -> false
 
 (** Replay a journal written by a previous (possibly killed) run into the
     oracle's tables, first record wins; returns how many records loaded.
-    Malformed or torn lines — and records whose parse fails — are skipped:
-    the measurements they described are deterministic, so the resumed run
-    re-derives them bit-identically.  Call before evaluating (typically
-    right before {!set_journal} on the same path). *)
+    Only records whose CRC holds replay — torn tails, flipped bytes and
+    files of an older format are skipped: the measurements they described
+    are deterministic, so the resumed run re-derives them
+    bit-identically.  Read-only; call before evaluating (typically right
+    before {!set_journal} on the same path). *)
 let replay_journal (t : t) (path : string) : int =
-  if not (Sys.file_exists path) then 0
-  else begin
-    let ic = open_in_bin path in
-    let loaded = ref 0 in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            match String.split_on_char '\t' line with
-            | [ "B"; key; e; c; "." ] -> (
-                match (float_of_bits_opt e, float_of_bits_opt c) with
-                | Some e, Some c ->
-                    locked t (fun () ->
-                        if not (Hashtbl.mem t.baselines key) then begin
-                          Hashtbl.replace t.baselines key (e, c);
-                          incr loaded
-                        end)
-                | _ -> ())
-            | [ "E"; key; r; p; f; "." ] -> (
-                match (float_of_bits_opt r, p, f) with
-                | Some r, ("0" | "1"), f
-                  when f = "-" || failure_of_name f <> None ->
-                    let e =
-                      { e_reward = r; e_penalized = (p = "1");
-                        e_failure =
-                          (if f = "-" then None else failure_of_name f) }
-                    in
-                    locked t (fun () ->
-                        if not (Hashtbl.mem t.cache key) then begin
-                          Hashtbl.replace t.cache key e;
-                          incr loaded
-                        end)
-                | _ -> ())
-            | [ "Q"; key; why; "." ] ->
-                locked t (fun () ->
-                    if not (Hashtbl.mem t.quarantined key) then begin
-                      Hashtbl.replace t.quarantined key (unescape why);
-                      incr loaded
-                    end)
-            | [ "V"; key; cx; "." ] ->
-                locked t (fun () ->
-                    if not (Hashtbl.mem t.refutations key) then begin
-                      Hashtbl.replace t.refutations key (unescape cx);
-                      incr loaded
-                    end)
-            | _ -> ()  (* header, torn line, or unknown record kind *)
-          done
-        with End_of_file -> ());
-    Stats.record_journal_replayed !loaded;
-    !loaded
-  end
+  let loaded, _ =
+    Fsio.Log.fold ~header:journal_header path
+      (fun n r -> if locked t (fun () -> replay_record t r) then n + 1 else n)
+      0
+  in
+  Stats.record_journal_replayed loaded;
+  loaded
 
 (** Programs dropped so far, as (name, reason): program order, one entry
     per distinct content key (the lowest index that hit it reports) — an

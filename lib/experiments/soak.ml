@@ -196,8 +196,8 @@ let chaos_run ~seed ~faults ~dir ~jobs ~(rng : Nn.Rng.t)
 
 (* after a disk-fault chaos run: prove nothing torn survived.  Every
    ring generation still present must load whole (quarantined [.bad]
-   files are evidence, not damage), the reward journal must hold only
-   complete "."-terminated records, and no stale [.tmp] may remain. *)
+   files are evidence, not damage), the reward journal must load with no
+   torn tail and no CRC reject, and no stale [.tmp] may remain. *)
 let torn_file_issues ~(dir : string) ~(save : string) : string list =
   let issues = ref [] in
   Array.iter
@@ -214,19 +214,15 @@ let torn_file_issues ~(dir : string) ~(save : string) : string list =
             Printf.sprintf "%s: %s" (Filename.basename file) why :: !issues
       | _ -> ()
   done;
-  let journal = save ^ ".journal" in
-  (if Sys.file_exists journal then
-     let whole line =
-       line = ""
-       || (String.length line > 0 && line.[0] = '#')
-       || (String.length line >= 2
-          && String.sub line (String.length line - 2) 2 = "\t.")
-     in
-     List.iteri
-       (fun i line ->
-         if not (whole line) then
-           issues := Printf.sprintf "journal line %d torn" (i + 1) :: !issues)
-       (String.split_on_char '\n' (read_file journal)));
+  let rc =
+    Fsio.Log.inspect ~header:Neurovec.Reward.journal_header
+      (save ^ ".journal")
+  in
+  if rc.torn || rc.rejected > 0 then
+    issues :=
+      Printf.sprintf "journal: %d CRC rejects%s" rc.rejected
+        (if rc.torn then ", torn" else "")
+      :: !issues;
   List.rev !issues
 
 (* the serve store under the same fault layer: fill it with faults

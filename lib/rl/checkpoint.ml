@@ -53,37 +53,6 @@ type v2_state = {
 type v2_payload = { v2_agent : Agent.t; v2_state : v2_state option }
 
 (* ------------------------------------------------------------------ *)
-(* CRC32 (IEEE 802.3, the zlib polynomial)                              *)
-(* ------------------------------------------------------------------ *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 (s : string) : int32 =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      c :=
-        Int32.logxor
-          table.(Int32.to_int
-                   (Int32.logand
-                      (Int32.logxor !c (Int32.of_int (Char.code ch)))
-                      0xFFl))
-          (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
-
-(* ------------------------------------------------------------------ *)
 (* Save / load                                                          *)
 (* ------------------------------------------------------------------ *)
 
@@ -110,7 +79,7 @@ let compose ?state (agent : Agent.t) : string =
   let body = Marshal.to_string { p_agent = agent; p_state = state } [] in
   Marshal.to_string (magic, version) []
   ^ Marshal.to_string body []
-  ^ Marshal.to_string (crc32 body) []
+  ^ Marshal.to_string (Fsio.crc32 body) []
 
 (** Write [agent] (and optionally resumable training [state]) to [path],
     atomically: the bytes land in a temp file first and are renamed over
@@ -146,7 +115,7 @@ let load_full (path : string) : Agent.t * Train_state.t option =
           try (input_value ic : int32)
           with _ -> raise (Bad_checkpoint "missing integrity footer")
         in
-        if crc32 body <> stored then
+        if Fsio.crc32 body <> stored then
           raise (Bad_checkpoint "integrity check failed (CRC32 mismatch)");
         body
       in
@@ -203,11 +172,12 @@ let load (path : string) : Agent.t = fst (load_full path)
     is quarantined as [<file>.bad] (replacing any previous quarantine)
     for post-mortem, never silently deleted.
 
-    Every lineage event is journaled to [<path>.lineage], one
-    "."-terminated line per event ([S]ave, [B]ad-quarantine, [R]ollback,
+    Every lineage event is journaled to [<path>.lineage], one {!Fsio.Log}
+    record per event ([S]ave, [B]ad-quarantine, [R]ollback,
     [G]ood-restore), deliberately {e outside} the injected-disk-fault
-    scope: the audit trail that proves every rollback happened must
-    survive the disk chaos it documents. *)
+    scope ([Faults.install_disk] never fires for op ["lineage"]): the
+    audit trail that proves every rollback happened must survive the
+    disk chaos it documents. *)
 module Lineage = struct
   let ring_path (path : string) (i : int) : string =
     if i = 0 then path else Printf.sprintf "%s.%d" path i
@@ -216,36 +186,32 @@ module Lineage = struct
 
   let log_path (path : string) : string = path ^ ".lineage"
 
-  (* plain, best-effort append: not routed through Fsio by design *)
-  let log_event (path : string) (fields : string list) : unit =
-    try
-      let oc =
-        open_out_gen
-          [ Open_append; Open_creat; Open_binary ]
-          0o644 (log_path path)
-      in
-      output_string oc (String.concat "\t" (fields @ [ "." ]) ^ "\n");
-      close_out_noerr oc
-    with Sys_error _ -> ()
+  let log_header = "# neurovec-lineage 1\n"
 
-  (** Rollbacks journaled in [<path>.lineage] (the [R] records); torn
-      lines (missing the "." terminator) are not counted. *)
+  (* best-effort: the audit trail never fails the training run *)
+  let log_event (path : string) (kind : char) (fields : string list) : unit =
+    try
+      let log, _ =
+        Fsio.Log.open_ ~op:"lineage" ~header:log_header (log_path path)
+      in
+      ignore (Fsio.Log.append log kind "" (String.concat "\t" fields));
+      Fsio.Log.close log
+    with Sys_error _ | Fsio.Disk_fault _ -> ()
+
+  (** The events journaled in [<path>.lineage] as (kind, tab-separated
+      fields), in order, with what the read had to skip. *)
+  let events (path : string) : (char * string) list * Fsio.Log.recovery =
+    let evs, rc =
+      Fsio.Log.fold ~header:log_header (log_path path)
+        (fun acc (r : Fsio.Log.record) -> (r.kind, r.value) :: acc)
+        []
+    in
+    (List.rev evs, rc)
+
+  (** Rollbacks journaled in [<path>.lineage] (the [R] records that pass
+      their CRC). *)
   let logged_rollbacks (path : string) : int =
-    match open_in_bin (log_path path) with
-    | exception Sys_error _ -> 0
-    | ic ->
-        Fun.protect ~finally:(fun () -> close_in_noerr ic) @@ fun () ->
-        let n = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             match String.split_on_char '\t' line with
-             | "R" :: rest when rest <> [] && List.nth rest (List.length rest - 1) = "." ->
-                 incr n
-             | _ -> ()
-           done
-         with End_of_file -> ());
-        !n
+    List.length (List.filter (fun (k, _) -> k = 'R') (fst (events path)))
 
   (** Sweep stale [".tmp"] siblings of every ring slot (leftovers of an
       atomic write interrupted by a kill); returns how many were removed
@@ -272,7 +238,7 @@ module Lineage = struct
   let quarantine (path : string) (file : string) (reason : string) : unit =
     (try Sys.remove (bad_path file) with Sys_error _ -> ());
     (try Sys.rename file (bad_path file) with Sys_error _ -> ());
-    log_event path [ "B"; Filename.basename file; String.escaped reason ]
+    log_event path 'B' [ Filename.basename file; reason ]
 
   (* copy the current head into slot 1 (shifting older slots up) so the
      ring keeps the previous generation.  Copies, not renames: if the
@@ -316,10 +282,10 @@ module Lineage = struct
     end;
     match state with
     | Some (st : Train_state.t) ->
-        log_event path
-          [ "S"; string_of_int st.Train_state.ts_update;
+        log_event path 'S'
+          [ string_of_int st.Train_state.ts_update;
             string_of_int st.ts_steps; string_of_int st.ts_rollbacks ]
-    | None -> log_event path [ "S"; "-"; "-"; "-" ]
+    | None -> log_event path 'S' [ "-"; "-"; "-" ]
 
   (** Walk the ring newest-first and return the first checkpoint that
       loads and passes the health check, quarantining every sick file
@@ -338,7 +304,7 @@ module Lineage = struct
               go (i + 1)
           | agent, state ->
               if healthy agent state then begin
-                log_event path [ "G"; Filename.basename file ];
+                log_event path 'G' [ Filename.basename file ];
                 Some (file, agent, state)
               end
               else begin

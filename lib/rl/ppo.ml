@@ -283,9 +283,9 @@ let train ?(hyper = default_hyper) ?(progress = fun (_ : stats) -> ())
     Sentinel.record_rollback ();
     (match checkpoint_path with
     | Some path ->
-        Checkpoint.Lineage.log_event path
-          [ "R"; string_of_int !update; string_of_int !steps_done;
-            string_of_int r; String.escaped (Sentinel.describe trip) ]
+        Checkpoint.Lineage.log_event path 'R'
+          [ string_of_int !update; string_of_int !steps_done;
+            string_of_int r; Sentinel.describe trip ]
     | None -> ());
     take_snapshot ()
   in

@@ -467,11 +467,7 @@ let stop (t : t) : unit =
       (* never started ([autostart:false]): drain whatever is queued
          inline — accepted requests get real replies even here *)
       batcher_loop t);
-  Option.iter
-    (fun s ->
-      Store.flush s;
-      Store.close s)
-    t.store
+  Option.iter Store.close t.store
 
 (* ------------------------------------------------------------------ *)
 (* Submission                                                           *)

@@ -8,4 +8,4 @@ let () =
    @ Test_differential.suite @ Test_parallel.suite @ Test_engine.suite
    @ Test_golden.suite
    @ Test_supervisor.suite @ Test_serve.suite @ Test_verify.suite
-   @ Test_selfheal.suite)
+   @ Test_selfheal.suite @ Test_fsio.suite)

@@ -274,7 +274,7 @@ let test_checkpoint_v2_still_loads () =
       let oc = open_out_bin path in
       output_value oc ("neurovec-agent", 2);
       output_value oc body;
-      output_value oc (Rl.Checkpoint.crc32 body);
+      output_value oc (Fsio.crc32 body);
       close_out oc;
       match Rl.Checkpoint.load_full path with
       | _, Some st ->
@@ -331,14 +331,10 @@ let test_enospc_mid_checkpoint_keeps_last_good () =
             "bytes identical to the fault-free run" true
             (read_file ref_path = read_file path)))
 
-let journal_lines_whole path =
-  List.for_all
-    (fun line ->
-      line = ""
-      || (String.length line > 0 && line.[0] = '#')
-      || (String.length line >= 2
-         && String.sub line (String.length line - 2) 2 = "\t."))
-    (String.split_on_char '\n' (read_file path))
+(* every record of the journal loads: no torn tail, no CRC reject *)
+let journal_records_whole path =
+  let rc = Fsio.Log.inspect ~header:Neurovec.Reward.journal_header path in
+  rc.loaded > 0 && rc.rejected = 0 && not rc.torn
 
 let test_enospc_mid_journal_drops_only_torn_tail () =
   with_temp_dir (fun dir ->
@@ -348,7 +344,7 @@ let test_enospc_mid_journal_drops_only_torn_tail () =
       let oracle = Neurovec.Reward.create programs in
       Neurovec.Reward.set_journal oracle path;
       (* appends 1 and 4 die of ENOSPC, append 2 tears mid-record: the
-         journal must contain only whole lines afterwards *)
+         journal must contain only whole records afterwards *)
       let first =
         with_injector
           (fun ~op ~path:_ ~index ->
@@ -359,8 +355,8 @@ let test_enospc_mid_journal_drops_only_torn_tail () =
           (fun () -> Neurovec.Reward.sweep_all oracle)
       in
       Neurovec.Reward.close_journal oracle;
-      Alcotest.(check bool) "every surviving line is whole" true
-        (journal_lines_whole path);
+      Alcotest.(check bool) "every surviving record is whole" true
+        (journal_records_whole path);
       (* replay serves what survived; re-measurement fills the holes and
          the sweep is bit-identical *)
       Neurovec.Frontend.clear ();
@@ -371,15 +367,19 @@ let test_enospc_mid_journal_drops_only_torn_tail () =
         (first, Neurovec.Reward.quarantine_report oracle)
         ( Neurovec.Reward.sweep_all restored,
           Neurovec.Reward.quarantine_report restored );
-      (* a SIGKILL-torn tail (no trailing newline) is trimmed when the
-         journal is reattached, never glued onto the next append *)
+      (* a SIGKILL-torn tail (a record cut short) is trimmed when the
+         journal is reattached, never glued onto the next append; the
+         torn file is kept as evidence *)
       let whole = read_file path in
-      write_file path (whole ^ "E\ttorn-key\t3f");
+      write_file path (whole ^ "E\000\000\000\030torn-key");
       let again = Neurovec.Reward.create programs in
       Neurovec.Reward.set_journal again path;
       Neurovec.Reward.close_journal again;
       Alcotest.(check string) "torn tail trimmed on reattach" whole
-        (read_file path))
+        (read_file path);
+      Alcotest.(check string) "torn file quarantined"
+        (whole ^ "E\000\000\000\030torn-key")
+        (read_file (path ^ ".quarantined")))
 
 (* ------------------------------------------------------------------ *)
 (* Store: compaction fails closed, recovery on retry                    *)
@@ -426,12 +426,17 @@ let test_store_compaction_fails_closed () =
 (* Sentinel rollback: deterministic across pool sizes                   *)
 (* ------------------------------------------------------------------ *)
 
+(* the rollback/restore events of the lineage audit; every record must
+   load whole *)
 let lineage_events path =
-  if not (Sys.file_exists path) then []
-  else
-    String.split_on_char '\n' (read_file path)
-    |> List.filter (fun l ->
-           String.length l > 2 && (l.[0] = 'R' || l.[0] = 'G'))
+  let events, rc = Rl.Checkpoint.Lineage.events path in
+  Alcotest.(check int) "no CRC-rejected lineage record" 0 rc.Fsio.Log.rejected;
+  Alcotest.(check bool) "no torn lineage record" false rc.Fsio.Log.torn;
+  List.filter_map
+    (fun (k, fields) ->
+      if k = 'R' || k = 'G' then Some (Printf.sprintf "%c %s" k fields)
+      else None)
+    events
 
 let test_nan_rollback_identical_at_any_jobs () =
   let j0 = Neurovec.Parpool.jobs () in
@@ -469,7 +474,7 @@ let test_nan_rollback_identical_at_any_jobs () =
               (selfheal_hyper.Rl.Ppo.lr
               *. (Rl.Sentinel.backoff ~seed:5 ~rollbacks:1)
                    .Rl.Sentinel.lr_scale));
-        (read_file path, lineage_events (path ^ ".lineage"))
+        (read_file path, lineage_events path)
       in
       with_temp_dir (fun dir1 ->
           with_temp_dir (fun dir4 ->

@@ -387,16 +387,55 @@ let write_file path s =
 
 let journal_corpus () = Dataset.Loopgen.generate ~seed:106 6
 
-let journal_reference path =
+(* every (program, label, outcome) of [oracle]: each program's baseline
+   and each action's reward as bits, or the quarantine reason *)
+let outcome_bits programs oracle =
+  let outcome f show =
+    match f () with
+    | v -> Ok (show v)
+    | exception Neurovec.Reward.Quarantined (_, why) -> Error why
+  in
+  List.concat
+    (List.init (Array.length programs) (fun idx ->
+         ( idx, "base",
+           outcome
+             (fun () -> Neurovec.Reward.baseline oracle idx)
+             (fun (e, c) ->
+               Printf.sprintf "%Lx %Lx" (Int64.bits_of_float e)
+                 (Int64.bits_of_float c)) )
+         :: List.map
+              (fun a ->
+                ( idx, string_of_int (Rl.Spaces.flat_of a),
+                  outcome
+                    (fun () -> Neurovec.Reward.reward oracle idx a)
+                    (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r)) ))
+              Rl.Spaces.all_actions))
+
+(* the outcomes of [got] that differ from [expected].  A quarantined
+   program measures nothing more, so an entry of one that the journal
+   lost re-derives as the quarantine; any value served must be exact *)
+let outcome_mismatches expected got =
+  let quarantined idx =
+    List.exists (fun (i, l, o) -> i = idx && l = "base" && Result.is_error o)
+      expected
+  in
+  let show = function Ok bits -> bits | Error why -> "quarantined " ^ why in
+  List.filter_map
+    (fun ((idx, label, e), (_, _, g)) ->
+      if e = g || (Result.is_error g && quarantined idx) then None
+      else
+        Some (Printf.sprintf "%d %s: %s <> %s" idx label (show e) (show g)))
+    (List.combine expected got)
+
+let journal_reference ?(options = miscompile_options ~seed:31 0.4) path =
   let programs = journal_corpus () in
-  let options = miscompile_options ~seed:31 0.4 in
   Neurovec.Frontend.clear ();
   let oracle = Neurovec.Reward.create ~options programs in
   Neurovec.Reward.set_journal oracle path;
   let sw = Neurovec.Reward.sweep_all oracle in
   let quar = Neurovec.Reward.quarantine_report oracle in
   Neurovec.Reward.close_journal oracle;
-  (programs, options, (sw, quar))
+  (programs, options, (sw, quar), outcome_bits programs oracle)
 
 let replay_and_sweep programs options path =
   Neurovec.Frontend.clear ();
@@ -405,12 +444,36 @@ let replay_and_sweep programs options path =
   let sw = Neurovec.Reward.sweep_all oracle in
   (n, (sw, Neurovec.Reward.quarantine_report oracle), oracle)
 
+(* the records of a journal, which must all load whole *)
+let journal_records path =
+  let records, rc =
+    Fsio.Log.fold ~header:Neurovec.Reward.journal_header path
+      (fun acc r -> r :: acc)
+      []
+  in
+  Alcotest.(check int) "no CRC-rejected journal record" 0 rc.Fsio.Log.rejected;
+  Alcotest.(check bool) "no torn journal record" false rc.Fsio.Log.torn;
+  List.rev records
+
+(* byte offsets of a record's value and of the record after it *)
+let value_offset (r : Fsio.Log.record) = r.offset + 9 + String.length r.key
+
+let record_end (r : Fsio.Log.record) = value_offset r + String.length r.value + 4
+
+(* [data] with bit [mask] of the byte at [off] flipped *)
+let flip_byte data off mask =
+  let b = Bytes.of_string data in
+  Bytes.set b off (Char.chr (Char.code (Bytes.get b off) lxor mask));
+  Bytes.to_string b
+
 let test_journal_v_records_replay () =
   with_temp_file ".journal" (fun path ->
       Sys.remove path;
-      let programs, options, reference = journal_reference path in
+      let programs, options, reference, _ = journal_reference path in
       Alcotest.(check bool) "journal has V records" true
-        (contains (read_file path) "\nV\t");
+        (List.exists
+           (fun (r : Fsio.Log.record) -> r.kind = 'V')
+           (journal_records path));
       Neurovec.Stats.reset ();
       let n, again, restored = replay_and_sweep programs options path in
       Alcotest.(check bool) "records replayed" true (n > 0);
@@ -437,45 +500,84 @@ let test_journal_v_records_replay () =
 let test_journal_corruption_matrix () =
   with_temp_file ".journal" (fun path ->
       Sys.remove path;
-      let programs, options, reference = journal_reference path in
+      let programs, options, reference, reference_bits =
+        journal_reference path
+      in
       let full = read_file path in
-      let lines = String.split_on_char '\n' full in
+      let records = journal_records path in
       let check_case name mutated =
         write_file path mutated;
-        let _, again, _ = replay_and_sweep programs options path in
+        let _, again, restored = replay_and_sweep programs options path in
         Test_parallel.check_sweeps_equal reference again;
-        ignore name
+        Alcotest.(check (list string))
+          (name ^ ": every entry's bits re-derive")
+          []
+          (outcome_mismatches reference_bits (outcome_bits programs restored))
       in
-      (* flipped byte inside a V record's key: the record lands under a
-         key nothing looks up; the sweep re-derives bit-identically *)
-      let flip_v line =
-        match String.split_on_char '\t' line with
-        | "V" :: key :: rest when String.length key > 0 ->
-            String.concat "\t"
-              ("V" :: ("Z" ^ String.sub key 1 (String.length key - 1)) :: rest)
-        | _ -> line
+      let first kind =
+        List.find (fun (r : Fsio.Log.record) -> r.kind = kind) records
       in
-      Alcotest.(check bool) "a V record exists to corrupt" true
-        (List.exists (fun l -> flip_v l <> l) lines);
-      check_case "flipped V key"
-        (String.concat "\n" (List.map flip_v lines));
-      (* torn tail: a crash mid-append loses the terminator; the partial
-         record is skipped *)
+      (* flipped byte inside a V record's key: the CRC rejects it; the
+         sweep re-derives bit-identically *)
+      check_case "flipped V key" (flip_byte full ((first 'V').offset + 9) 0x01);
+      (* flipped bits in an E reward and a B baseline: rejected, never
+         replayed as a wrong value *)
+      check_case "flipped E value"
+        (flip_byte full (value_offset (first 'E') + 1) 0x10);
+      check_case "flipped B value"
+        (flip_byte full (value_offset (first 'B') + 1) 0x10);
+      (* torn tail: a crash mid-append; the partial record is dropped *)
       check_case "torn tail" (String.sub full 0 (String.length full - 3));
-      (* a garbage line between records is skipped, not fatal *)
-      check_case "garbage line"
-        (String.concat "\n"
-           (match lines with
-           | hdr :: rest -> hdr :: "X\tnot a record" :: rest
-           | [] -> [ "X\tnot a record" ]));
-      (* V record dropped entirely: the quarantine report still carries
+      (* a garbage record between records is skipped, not fatal *)
+      let h = String.length Neurovec.Reward.journal_header in
+      check_case "garbage record"
+        (String.sub full 0 h ^ "X\000\000\000\004\000\000\000\000junkJUNK"
+        ^ String.sub full h (String.length full - h));
+      (* V records dropped entirely: the quarantine report still carries
          the counterexample (it rides in the Q record), and rewards
          re-derive *)
       check_case "dropped V records"
-        (String.concat "\n"
-           (List.filter
-              (fun l -> String.length l < 2 || String.sub l 0 2 <> "V\t")
-              lines)))
+        (String.sub full 0 h
+        ^ String.concat ""
+            (List.filter_map
+               (fun (r : Fsio.Log.record) ->
+                 if r.kind = 'V' then None
+                 else Some (String.sub full r.offset (record_end r - r.offset)))
+               records));
+      (* a journal of the old text format replays nothing *)
+      check_case "old header" "# neurovec-journal 1\nB\tkey\t3ff0\t0\t.\n")
+
+let test_journal_value_flips () =
+  with_temp_file ".journal" (fun path ->
+      Sys.remove path;
+      (* fault-free options: no program is quarantined, so every
+         baseline is served from the journal *)
+      let programs, options, _, _ =
+        journal_reference ~options:Neurovec.Pipeline.default_options path
+      in
+      let _, _, measured =
+        replay_and_sweep programs options (path ^ ".does-not-exist")
+      in
+      let fresh = outcome_bits programs measured in
+      let records = journal_records path in
+      Alcotest.(check bool) "no program quarantined" false
+        (List.exists (fun (r : Fsio.Log.record) -> r.kind = 'Q') records);
+      (* flip the lowest exponent bit of the first reward and of the
+         first exec-time baseline *)
+      let first kind =
+        List.find (fun (r : Fsio.Log.record) -> r.kind = kind) records
+      in
+      let full = read_file path in
+      write_file path
+        (flip_byte
+           (flip_byte full (value_offset (first 'E') + 1) 0x10)
+           (value_offset (first 'B') + 1)
+           0x10);
+      let n, _, restored = replay_and_sweep programs options path in
+      Alcotest.(check int) "both flipped records rejected"
+        (List.length records - 2) n;
+      Alcotest.(check (list string)) "replayed outcomes = fresh measurement"
+        [] (outcome_mismatches fresh (outcome_bits programs restored)))
 
 (* ------------------------------------------------------------------ *)
 (* The legality fuzzer                                                  *)
@@ -849,6 +951,8 @@ let suite =
           test_journal_v_records_replay;
         Alcotest.test_case "corruption matrix" `Slow
           test_journal_corruption_matrix;
+        Alcotest.test_case "value flips never replay" `Slow
+          test_journal_value_flips;
       ] );
     ( "verify.fuzz",
       [
