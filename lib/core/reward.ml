@@ -413,22 +413,34 @@ let baseline (t : t) (idx : int) : float * float =
 (* ------------------------------------------------------------------ *)
 
 (** Memoized reward entry of applying [action] to every innermost loop of
-    program [idx].  Raises {!Quarantined} if the program's baseline is
-    unusable; any failure of the action itself converts to the penalty. *)
+    program [idx].  Raises {!Quarantined} if the program is quarantined
+    (its baseline is unusable, or a sweep tripped on it), even when the
+    entry itself is cached; any failure of the action itself converts to
+    the penalty. *)
 let entry (t : t) (idx : int) (action : Rl.Spaces.action) : entry =
   let key =
     Printf.sprintf "%s|vf=%d,if=%d" t.keys.(idx)
       (Rl.Spaces.vf_of action) (Rl.Spaces.if_of action)
   in
+  (* quarantine is a verdict on the whole program: it dominates every
+     lookup, cached entries included, so what a lookup returns does not
+     depend on which entries were evaluated (or journaled) first *)
   match
     locked t (fun () ->
-        match Hashtbl.find_opt t.cache key with
-        | Some e ->
-            t.hits <- t.hits + 1;
-            Some e
-        | None -> None)
+        match Hashtbl.find_opt t.quarantined t.keys.(idx) with
+        | Some why ->
+            Hashtbl.replace t.quarantine_idx idx ();
+            Some (Error why)
+        | None -> (
+            match Hashtbl.find_opt t.cache key with
+            | Some e ->
+                t.hits <- t.hits + 1;
+                Some (Ok e)
+            | None -> None))
   with
-  | Some e ->
+  | Some (Error why) ->
+      raise (Quarantined (t.programs.(idx).Dataset.Program.p_name, why))
+  | Some (Ok e) ->
       Stats.reward_hit ();
       e
   | None -> (

@@ -12,10 +12,17 @@
     per-sample chain it replaces ([Tensor.gemv] + [add_inplace] +
     [tanh_fwd] + [softmax] forward, [Tensor.ger] + [gemv_t] backward).
     The matrix loops ([dense_rows], [ger_rows], [gemv_t_rows]) run in
-    kernels.c, compiled without FMA contraction or fast-math so C keeps
-    the same order too.  The differential suites — the batched.* test
-    groups — and the trained-checkpoint-bytes gates enforce this; do not
-    "optimize" a kernel into a different summation order.
+    kernels.c, vectorized across independent output elements only:
+    [dense_rows] in axpy form over a transposed copy of [W] (an arena
+    slot), so each output keeps its own k-sequential accumulator,
+    [ger_rows] and [gemv_t_rows] with a register tile of outputs that
+    receives its row additions in order.  One C source is compiled per
+    ISA (baseline, AVX2, AVX-512) and the widest the CPU runs is picked
+    at load time; with no FMA contraction, fast-math or reassociation,
+    every variant gives the same bits.  The differential suites — the
+    batched.* test groups, run under every variant the host can execute
+    — and the frozen checkpoint digest enforce this; do not "optimize" a
+    kernel into a different summation order.
 
     Buffers are float64 ([Tensor] is [float array], i.e. double): a
     float32 layout would be smaller but would round every intermediate
@@ -96,7 +103,7 @@ external get : buf -> int -> float = "%caml_ba_unsafe_ref_1"
 external set : buf -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 
 external dense_rows_k :
-  float array -> float array -> buf -> buf -> int -> int -> int -> unit
+  float array -> float array -> buf -> buf -> buf -> int -> int -> int -> unit
   = "nv_dense_rows_byte" "nv_dense_rows"
 [@@noalloc]
 
@@ -110,6 +117,40 @@ external gemv_t_rows_k :
   = "nv_gemv_t_rows_byte" "nv_gemv_t_rows"
 [@@noalloc]
 
+(* the kernel variants of kernels.c: [0 .. isa_count () - 1] run on this
+   CPU, widest last *)
+external isa_count : unit -> int = "nv_isa_count" [@@noalloc]
+external isa_name : int -> string = "nv_isa_name"
+external isa_current : unit -> int = "nv_isa_current" [@@noalloc]
+external isa_select : int -> unit = "nv_isa_select" [@@noalloc]
+
+(** For the differential tests: the kernel variants this CPU can execute,
+    and a way to run code under one of them.  Nothing else selects a
+    variant. *)
+module For_testing = struct
+  (** The variant the native kernels dispatched to: ["avx512"], ["avx2"]
+      or ["default"] (SSE2 on x86-64, plain C elsewhere).  Every variant
+      gives the same bits. *)
+  let isa () : string = isa_name (isa_current ())
+
+  (** Every variant this CPU can execute, widest last. *)
+  let variants () : string list = List.init (isa_count ()) isa_name
+
+  (** [with_isa name f] runs [f] with every native kernel dispatched to
+      variant [name], then restores the previous one.  The selection is
+      process-wide: pool domains inside [f] use it too, and it must not
+      change while kernels run elsewhere. *)
+  let with_isa (name : string) (f : unit -> 'a) : 'a =
+    let rec find i =
+      if i >= isa_count () then invalid_arg ("Batch.with_isa: " ^ name)
+      else if isa_name i = name then i
+      else find (i + 1)
+    in
+    let prev = isa_current () in
+    isa_select (find 0);
+    Fun.protect ~finally:(fun () -> isa_select prev) f
+end
+
 let check_rows what ~(rows : int) (b : buf) ~(width : int) =
   if rows < 0 || Bigarray.Array1.dim b < rows * width then
     invalid_arg (what ^ ": dimension mismatch")
@@ -117,7 +158,8 @@ let check_rows what ~(rows : int) (b : buf) ~(width : int) =
 (** [y(r) = W x(r) + b] for [rows] row-major rows — the matrix-matrix
     form of [Dense.forward], in kernels.c.  Per output element: one
     accumulator, the k-order of [Tensor.gemv], then [acc +. b.(o)], which
-    is bit-equal to gemv-then-[add_inplace]. *)
+    is bit-equal to gemv-then-[add_inplace].  The kernel transposes [W]
+    into this domain's arena, so it allocates nothing itself. *)
 let dense_rows ~(w : Tensor.mat) ~(b : Tensor.vec) ~(x : buf) ~(y : buf)
     ~(rows : int) : unit =
   let in_dim = w.Tensor.cols and out_dim = w.Tensor.rows in
@@ -126,7 +168,13 @@ let dense_rows ~(w : Tensor.mat) ~(b : Tensor.vec) ~(x : buf) ~(y : buf)
   check_rows "Batch.dense_rows" ~rows y ~width:out_dim;
   if Array.length b <> out_dim then
     invalid_arg "Batch.dense_rows: dimension mismatch";
-  dense_rows_k w.Tensor.data b x y rows in_dim out_dim
+  (* scratch for the kernel's transposed weights: [in_dim] rows of
+     [out_dim] padded to a multiple of 8, the widest vector *)
+  let wt =
+    slot (domain_arena ()) "Batch.dense_rows.wt"
+      (in_dim * ((out_dim + 7) land lnot 7))
+  in
+  dense_rows_k w.Tensor.data b x y wt rows in_dim out_dim
 
 (** [g += alpha dy(r) x(ix(r))ᵀ] for [r = 0 .. rows-1] ([ix] defaults to
     the identity): every element of [g] receives the additions of [rows]

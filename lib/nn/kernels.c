@@ -1,15 +1,38 @@
 /* Native inner loops for the NN kernels (Tensor, Batch, Optim).
 
-   Exactness contract: every loop performs, per output element, the same
-   floating-point operations in the same order as the OCaml loop it
-   replaces -- one accumulator, k-sequential dot products, the
-   [x(i) = 0.0] row skip of gemv_t/ger, Adam's update written term by
-   term -- so every result is bit-identical to the scalar path.  Build
-   with -ffp-contract=off: otherwise GCC fuses [a + b * c] into an FMA on
-   any ISA that has one, which rounds once instead of twice.  No
-   -ffast-math and no reassociation: vectorizing an elementwise loop
-   (ger, gemv_t, Adam) is exact, vectorizing a reduction (gemv) is not,
-   and the compiler only does the former without those flags.
+   Exactness contract: every output element goes through the same
+   floating-point operations, in the same order, as in the OCaml loop it
+   replaces -- one accumulator starting at 0.0, k-sequential dot products
+   with the bias added after, gradient rows added in row order with the
+   [x(i) = 0.0] skip of gemv_t/ger, Adam's update written term by term --
+   so every result is bit-identical to the scalar path.
+
+   The row kernels get their speed from vectors that hold *independent
+   outputs*, never from splitting one output's sum:
+   - dense_rows runs in axpy form: W is transposed into caller-provided
+     scratch, and for each k one row of W^T, times x(r, k), is added to a
+     register tile of outputs.  Each output keeps its own k-sequential
+     accumulator; only the order in which *different* outputs are
+     computed changes.
+   - ger_rows keeps a tile of gW in registers across all the rows of dy,
+     in row order, with the zero skip per (row, element).
+   - gemv_t_rows keeps a tile of dx rows in registers while each W row
+     is loaded once and shared by the tile.
+   Mul, add, div and sqrt are correctly rounded on every ISA, so a lane
+   computes what the scalar loop computes.  Build with -ffp-contract=off:
+   otherwise GCC fuses [a + b * c] into an FMA on any ISA that has one,
+   which rounds once instead of twice.  No -ffast-math and no
+   reassociation.  -fno-math-errno only lets Adam's sqrt be a vector
+   instruction; its argument vhat is never negative, so errno is never
+   set and the value is the same.
+
+   ISA dispatch: kernels_simd.h is the one source of the row kernels and
+   Adam.  It is compiled here once per instruction set -- the baseline
+   (SSE2 on x86-64, plain C elsewhere), AVX2 and AVX-512 -- through GCC
+   target attributes, with tiles sized to each register file.  The
+   widest variant the CPU runs is picked once, at load time.  All
+   variants give the same bits; batched.kernels checks every variant the
+   host can execute against the OCaml reference loops.
 
    The OCaml wrappers check every length before calling here; these
    functions trust their arguments, never allocate and never raise
@@ -18,7 +41,9 @@
 
 #define CAML_NAME_SPACE
 #include <math.h>
+#include <stdint.h>
 #include <caml/mlvalues.h>
+#include <caml/alloc.h>
 #include <caml/bigarray.h>
 
 #define FARR(v) ((double *)(v))
@@ -36,79 +61,98 @@ static void gemv(const double *m, const double *x, double *y, intnat rows,
   }
 }
 
-/* y += sum_k d[k] r[k] over [k] = 1..4 row vectors, added one after the
-   other to each element: the additions [k] successive axpy passes make,
-   in the same order, with [y] read and written once */
-static void axpy_group(double *y, const double *const *r, const double *d,
-                       int k, intnat len)
+struct nv_isa {
+  const char *name;
+  void (*dense_rows)(const double *w, const double *b, const double *x,
+                     double *y, double *wt, intnat n, intnat ni, intnat no);
+  void (*ger_rows)(double *g, double alpha, const double *dy,
+                   const double *x, const value *ix, intnat n, intnat no,
+                   intnat ni);
+  void (*gemv_t_rows)(const double *w, const double *dy, double *dx,
+                      intnat n, intnat no, intnat ni);
+  void (*adam)(double *p, const double *g, double *m, double *v,
+               const double *k, intnat n);
+};
+
+/* Tiles were chosen per ISA by timing the agent's combiner shapes
+   (112 -> 128, 1500 rows): the accumulators of a tile must fit the
+   register file with room for the shared operands. */
+#define ISA_NAME "default"
+#define SFX _default
+#define TGT
+#define VW 2
+#define DENSE_TR 2
+#define DENSE_TO 4
+#define AXPY_TA 2
+#define AXPY_TJ 4
+#include "kernels_simd.h"
+
+/* variants nv_isas[0 .. nv_isa_avail) run on this CPU; nv_sel picks
+   the widest, unless a test selected another */
+static int nv_isa_avail = 1;
+static int nv_sel = 0;
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define ISA_NAME "avx2"
+#define SFX _avx2
+#define TGT __attribute__((target("avx2")))
+#define VW 4
+#define DENSE_TR 3
+#define DENSE_TO 3
+#define AXPY_TA 3
+#define AXPY_TJ 3
+#include "kernels_simd.h"
+
+#define ISA_NAME "avx512"
+#define SFX _avx512
+#define TGT __attribute__((target("avx512f")))
+#define VW 8
+#define DENSE_TR 8
+#define DENSE_TO 3
+#define AXPY_TA 8
+#define AXPY_TJ 3
+#include "kernels_simd.h"
+
+static const struct nv_isa *const nv_isas[] = {
+  &nv_isa_default, &nv_isa_avx2, &nv_isa_avx512
+};
+
+__attribute__((constructor)) static void nv_isa_detect(void)
 {
-  switch (k) {
-  case 4:
-    for (intnat j = 0; j < len; j++) {
-      double t = y[j];
-      t = t + r[0][j] * d[0];
-      t = t + r[1][j] * d[1];
-      t = t + r[2][j] * d[2];
-      t = t + r[3][j] * d[3];
-      y[j] = t;
-    }
-    break;
-  case 3:
-    for (intnat j = 0; j < len; j++) {
-      double t = y[j];
-      t = t + r[0][j] * d[0];
-      t = t + r[1][j] * d[1];
-      t = t + r[2][j] * d[2];
-      y[j] = t;
-    }
-    break;
-  case 2:
-    for (intnat j = 0; j < len; j++) {
-      double t = y[j];
-      t = t + r[0][j] * d[0];
-      t = t + r[1][j] * d[1];
-      y[j] = t;
-    }
-    break;
-  case 1:
-    for (intnat j = 0; j < len; j++) y[j] = y[j] + r[0][j] * d[0];
-    break;
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2")) {
+    nv_isa_avail = 2;
+    if (__builtin_cpu_supports("avx512f")) nv_isa_avail = 3;
   }
+  nv_sel = nv_isa_avail - 1;
+}
+#else
+static const struct nv_isa *const nv_isas[] = { &nv_isa_default };
+#endif
+
+#define nv_cur (nv_isas[nv_sel])
+
+value nv_isa_count(value unit)
+{
+  (void)unit;
+  return Val_long(nv_isa_avail);
 }
 
-/* y = M^T x  (x : rows, y : cols); rows with x(i) = 0.0 are skipped.
-   Non-skipped rows are added four at a time (axpy_group), which keeps
-   each element's row order. */
-static void gemv_t(const double *m, const double *x, double *y, intnat rows,
-                   intnat cols)
+value nv_isa_name(value i)
 {
-  const double *r[4];
-  double d[4];
-  int k = 0;
-  for (intnat j = 0; j < cols; j++) y[j] = 0.0;
-  for (intnat i = 0; i < rows; i++) {
-    if (x[i] != 0.0) {
-      r[k] = m + i * cols;
-      d[k] = x[i];
-      if (++k == 4) {
-        axpy_group(y, r, d, k, cols);
-        k = 0;
-      }
-    }
-  }
-  axpy_group(y, r, d, k, cols);
+  return caml_copy_string(nv_isas[Long_val(i)]->name);
 }
 
-/* M += alpha x y^T; rows with alpha * x(i) = 0.0 are skipped */
-static void ger(double *m, double alpha, const double *x, const double *y,
-                intnat rows, intnat cols)
+value nv_isa_current(value unit)
 {
-  for (intnat i = 0; i < rows; i++) {
-    double *mr = m + i * cols;
-    double xi = alpha * x[i];
-    if (xi != 0.0)
-      for (intnat j = 0; j < cols; j++) mr[j] = mr[j] + xi * y[j];
-  }
+  (void)unit;
+  return Val_long(nv_sel);
+}
+
+value nv_isa_select(value i)
+{
+  nv_sel = Long_val(i);
+  return Val_unit;
 }
 
 value nv_gemv(value m, value x, value y, value rows, value cols)
@@ -117,16 +161,19 @@ value nv_gemv(value m, value x, value y, value rows, value cols)
   return Val_unit;
 }
 
+/* y = M^T x (x : rows, y : cols): gemv_t_rows over one row */
 value nv_gemv_t(value m, value x, value y, value rows, value cols)
 {
-  gemv_t(FARR(m), FARR(x), FARR(y), Long_val(rows), Long_val(cols));
+  nv_cur->gemv_t_rows(FARR(m), FARR(x), FARR(y), 1, Long_val(rows),
+                      Long_val(cols));
   return Val_unit;
 }
 
+/* M += alpha x y^T: ger_rows over one row */
 value nv_ger(value m, value alpha, value x, value y, value rows, value cols)
 {
-  ger(FARR(m), Double_val(alpha), FARR(x), FARR(y), Long_val(rows),
-      Long_val(cols));
+  nv_cur->ger_rows(FARR(m), Double_val(alpha), FARR(x), FARR(y), NULL, 1,
+                   Long_val(rows), Long_val(cols));
   return Val_unit;
 }
 
@@ -136,46 +183,13 @@ value nv_ger_byte(value *argv, int argn)
   return nv_ger(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
 }
 
-/* y(r) = W x(r) + b for [rows] row-major rows: gemv's accumulation, then
-   the bias added to the finished dot.  Four rows share each pass over a
-   weight row; every output still has its own k-sequential accumulator. */
-value nv_dense_rows(value w, value b, value x, value y, value rows,
+/* y(r) = W x(r) + b for [rows] row-major rows; [wt] is scratch of at
+   least in_dim * out_dim rounded up to a multiple of 8 doubles */
+value nv_dense_rows(value w, value b, value x, value y, value wt, value rows,
                     value in_dim, value out_dim)
 {
-  const double *wd = FARR(w), *bd = FARR(b), *xd = BUF(x);
-  double *yd = BUF(y);
-  intnat n = Long_val(rows), ni = Long_val(in_dim), no = Long_val(out_dim);
-  intnat r = 0;
-  for (; r + 4 <= n; r += 4) {
-    const double *x0 = xd + r * ni, *x1 = x0 + ni, *x2 = x1 + ni,
-                 *x3 = x2 + ni;
-    double *y0 = yd + r * no;
-    for (intnat o = 0; o < no; o++) {
-      const double *wr = wd + o * ni;
-      double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-      for (intnat k = 0; k < ni; k++) {
-        double wk = wr[k];
-        a0 = a0 + wk * x0[k];
-        a1 = a1 + wk * x1[k];
-        a2 = a2 + wk * x2[k];
-        a3 = a3 + wk * x3[k];
-      }
-      y0[o] = a0 + bd[o];
-      y0[no + o] = a1 + bd[o];
-      y0[2 * no + o] = a2 + bd[o];
-      y0[3 * no + o] = a3 + bd[o];
-    }
-  }
-  for (; r < n; r++) {
-    const double *xr = xd + r * ni;
-    double *yr = yd + r * no;
-    for (intnat o = 0; o < no; o++) {
-      const double *wr = wd + o * ni;
-      double acc = 0.0;
-      for (intnat k = 0; k < ni; k++) acc = acc + wr[k] * xr[k];
-      yr[o] = acc + bd[o];
-    }
-  }
+  nv_cur->dense_rows(FARR(w), FARR(b), BUF(x), BUF(y), BUF(wt),
+                     Long_val(rows), Long_val(in_dim), Long_val(out_dim));
   return Val_unit;
 }
 
@@ -183,43 +197,18 @@ value nv_dense_rows_byte(value *argv, int argn)
 {
   (void)argn;
   return nv_dense_rows(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                       argv[6]);
+                       argv[6], argv[7]);
 }
 
-/* g += alpha dy(r) x(ix(r))^T over [rows] rows of dy, in row order for
-   every element of g -- the same additions as [rows] successive [ger]
-   calls, with the same zero skip.  The row loop sits inside the
-   output-row loop and non-skipped rows are added four at a time
-   (axpy_group), so a row of g is read and written once per four.  [ix]
-   is an [int array option] mapping a dy row to its x row; [None] is the
+/* g += alpha dy(r) x(ix(r))^T over [rows] rows of dy.  [ix] is an
+   [int array option] mapping a dy row to its x row; [None] is the
    identity. */
 value nv_ger_rows(value g, value alpha, value dy, value x, value ix,
                   value rows, value out_dim, value in_dim)
 {
-  double *gd = FARR(g);
-  const double *dyd = BUF(dy), *xd = BUF(x);
-  double a = Double_val(alpha);
-  intnat n = Long_val(rows), no = Long_val(out_dim), ni = Long_val(in_dim);
-  value idx = Is_block(ix) ? Field(ix, 0) : Val_unit;
-  const double *xs[4];
-  double ds[4];
-  for (intnat i = 0; i < no; i++) {
-    double *gr = gd + i * ni;
-    int k = 0;
-    for (intnat r = 0; r < n; r++) {
-      double di = a * dyd[r * no + i];
-      if (di != 0.0) {
-        intnat xr = Is_block(idx) ? Long_val(Field(idx, r)) : r;
-        xs[k] = xd + xr * ni;
-        ds[k] = di;
-        if (++k == 4) {
-          axpy_group(gr, xs, ds, k, ni);
-          k = 0;
-        }
-      }
-    }
-    axpy_group(gr, xs, ds, k, ni);
-  }
+  const value *ixp = Is_block(ix) ? (const value *)Field(ix, 0) : NULL;
+  nv_cur->ger_rows(FARR(g), Double_val(alpha), BUF(dy), BUF(x), ixp,
+                   Long_val(rows), Long_val(out_dim), Long_val(in_dim));
   return Val_unit;
 }
 
@@ -230,15 +219,12 @@ value nv_ger_rows_byte(value *argv, int argn)
                      argv[6], argv[7]);
 }
 
-/* dx(r) = W^T dy(r) for [rows] rows: [gemv_t] row by row */
+/* dx(r) = W^T dy(r) for [rows] rows */
 value nv_gemv_t_rows(value w, value dy, value dx, value rows, value out_dim,
                      value in_dim)
 {
-  const double *wd = FARR(w), *dyd = BUF(dy);
-  double *dxd = BUF(dx);
-  intnat n = Long_val(rows), no = Long_val(out_dim), ni = Long_val(in_dim);
-  for (intnat r = 0; r < n; r++)
-    gemv_t(wd, dyd + r * no, dxd + r * ni, no, ni);
+  nv_cur->gemv_t_rows(FARR(w), BUF(dy), BUF(dx), Long_val(rows),
+                      Long_val(out_dim), Long_val(in_dim));
   return Val_unit;
 }
 
@@ -249,21 +235,9 @@ value nv_gemv_t_rows_byte(value *argv, int argn)
                         argv[5]);
 }
 
-/* Adam's elementwise update; [k] holds, in order: scale, beta1,
-   1 - beta1, beta2, 1 - beta2, bias corrections 1 and 2, lr, eps */
 value nv_adam(value p, value g, value m, value v, value k)
 {
-  double *pd = FARR(p), *md = FARR(m), *vd = FARR(v);
-  const double *gd = FARR(g), *kd = FARR(k);
-  double scale = kd[0], b1 = kd[1], omb1 = kd[2], b2 = kd[3], omb2 = kd[4],
-         bc1 = kd[5], bc2 = kd[6], lr = kd[7], eps = kd[8];
-  intnat n = Wosize_val(p) / Double_wosize;
-  for (intnat i = 0; i < n; i++) {
-    double gi = gd[i] / scale;
-    md[i] = b1 * md[i] + omb1 * gi;
-    vd[i] = b2 * vd[i] + omb2 * gi * gi;
-    double mhat = md[i] / bc1, vhat = vd[i] / bc2;
-    pd[i] = pd[i] - lr * mhat / (sqrt(vhat) + eps);
-  }
+  nv_cur->adam(FARR(p), FARR(g), FARR(m), FARR(v), FARR(k),
+               Wosize_val(p) / Double_wosize);
   return Val_unit;
 }

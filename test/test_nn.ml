@@ -483,8 +483,24 @@ let kernel_mat rng rows cols =
           if Nn.Rng.int rng 6 = 0 then special_float rng
           else Nn.Rng.normal rng) }
 
-(* odd, even and empty dimensions *)
-let kernel_dim rng = match Nn.Rng.int rng 5 with 0 -> 0 | _ -> Nn.Rng.int rng 12
+(* dimensions either side of every tile and vector-width boundary: the
+   variants' vectors hold 2, 4 or 8 doubles, their tiles span 8, 12 or
+   24 columns and 2, 3 or 8 rows *)
+let boundary_dims =
+  [| 0; 1; 2; 3; 4; 7; 8; 9; 11; 12; 13; 15; 16; 17; 23; 24; 25; 31; 32; 33 |]
+
+(* odd, even and empty dimensions, a third of them on a boundary *)
+let kernel_dim rng =
+  match Nn.Rng.int rng 15 with
+  | 0 -> 0
+  | n when n < 10 -> Nn.Rng.int rng 12
+  | _ -> boundary_dims.(Nn.Rng.int rng (Array.length boundary_dims))
+
+(* [f isa] under every kernel variant this CPU can execute *)
+let for_every_isa (f : string -> unit) =
+  List.iter
+    (fun isa -> Nn.Batch.For_testing.with_isa isa (fun () -> f isa))
+    (Nn.Batch.For_testing.variants ())
 
 (* Bitwise, except that any NaN matches any NaN: IEEE 754 leaves open
    which operand's payload and sign a NaN result carries, and both
@@ -506,11 +522,12 @@ let buf_of (a : float array) : Nn.Batch.buf =
 let array_of_buf (b : Nn.Batch.buf) n = Array.init n (fun i -> Nn.Batch.get b i)
 
 let test_native_tensor_kernels () =
+  for_every_isa @@ fun isa ->
   let rng = Nn.Rng.create 41 in
   for trial = 1 to 300 do
     let rows = kernel_dim rng and cols = kernel_dim rng in
     let m = kernel_mat rng rows cols in
-    let what k = Printf.sprintf "trial %d %s %dx%d" trial k rows cols in
+    let what k = Printf.sprintf "%s trial %d %s %dx%d" isa trial k rows cols in
     (* gemv *)
     let x = kernel_vec rng cols in
     let y_ref = Array.make rows 1.5 and y = Array.make rows 1.5 in
@@ -535,13 +552,15 @@ let test_native_tensor_kernels () =
   done
 
 let test_native_batch_kernels () =
+  for_every_isa @@ fun isa ->
   let rng = Nn.Rng.create 42 in
   for trial = 1 to 200 do
     let out_dim = kernel_dim rng and in_dim = kernel_dim rng in
     let rows = kernel_dim rng in
     let w = kernel_mat rng out_dim in_dim in
     let what k =
-      Printf.sprintf "trial %d %s %dx%d rows %d" trial k out_dim in_dim rows
+      Printf.sprintf "%s trial %d %s %dx%d rows %d" isa trial k out_dim in_dim
+        rows
     in
     (* dense_rows; some input rows all zero *)
     let b = kernel_vec rng out_dim in
@@ -587,6 +606,7 @@ let test_native_batch_kernels () =
   done
 
 let test_native_adam () =
+  for_every_isa @@ fun isa ->
   let rng = Nn.Rng.create 43 in
   for trial = 1 to 50 do
     let n = kernel_dim rng in
@@ -608,11 +628,81 @@ let test_native_adam () =
     for _ = 1 to steps do
       Nn.Optim.step ~scale opt [ (p, g) ]
     done;
-    let what k = Printf.sprintf "trial %d adam %s (n %d)" trial k n in
+    let what k = Printf.sprintf "%s trial %d adam %s (n %d)" isa trial k n in
     same_bits (what "param") pr p;
     same_bits (what "m") mr m;
     same_bits (what "v") vr v
   done
+
+(* a dy row with scattered exact zeros (the skip rule, both signs) and
+   the odd special value *)
+let gradient_row rng n =
+  Array.init n (fun _ ->
+      match Nn.Rng.int rng 40 with
+      | 0 | 1 | 2 -> 0.0
+      | 3 -> -0.0
+      | 4 -> special_float rng
+      | _ -> Nn.Rng.normal rng)
+
+(* The agent's real shapes -- the code2vec combiner 112 -> 128 over ~1500
+   indexed context rows, the trunk 128 -> 64 and 64 -> 64 and the heads
+   64 -> 12 and 64 -> 1 over a minibatch -- forward and backward against
+   the reference loops, under every variant: whole tiles, row chunks and
+   every remainder path at the sizes training runs. *)
+let test_native_agent_shapes () =
+  for_every_isa @@ fun isa ->
+  let rng = Nn.Rng.create 44 in
+  List.iter
+    (fun (name, in_dim, out_dim, rows, xrows) ->
+      let what k = Printf.sprintf "%s %s %s" isa name k in
+      let w = kernel_mat rng out_dim in_dim in
+      let b = kernel_vec rng out_dim in
+      let xs = Array.init xrows (fun _ -> kernel_vec rng in_dim) in
+      let xb = buf_of (Array.concat (Array.to_list xs)) in
+      let ix =
+        Array.init rows (fun r ->
+            if r < xrows then r else Nn.Rng.int rng xrows)
+      in
+      (* dense_rows over the unique rows *)
+      let y_ref = Nn.Batch.create (xrows * out_dim)
+      and y = Nn.Batch.create (xrows * out_dim) in
+      Ref.dense_rows ~w ~b ~x:xb ~y:y_ref ~rows:xrows;
+      Nn.Batch.dense_rows ~w ~b ~x:xb ~y ~rows:xrows;
+      same_bits (what "dense_rows")
+        (array_of_buf y_ref (xrows * out_dim))
+        (array_of_buf y (xrows * out_dim));
+      (* ger_rows over the occurrences, indexed into the unique rows *)
+      let dys = Array.init rows (fun _ -> gradient_row rng out_dim) in
+      let dy = buf_of (Array.concat (Array.to_list dys)) in
+      let g0 = kernel_mat rng out_dim in_dim in
+      let g_ref = Nn.Tensor.mat_copy g0 and g = Nn.Tensor.mat_copy g0 in
+      Array.iteri (fun r d -> Ref.ger g_ref ~alpha:1.0 d xs.(ix.(r))) dys;
+      Nn.Batch.ger_rows ~ix g ~alpha:1.0 ~dy ~x:xb ~rows;
+      same_bits (what "ger_rows") g_ref.Nn.Tensor.data g.Nn.Tensor.data;
+      (* gemv_t_rows *)
+      let dx = Nn.Batch.create (rows * in_dim) in
+      Nn.Batch.gemv_t_rows w ~dy ~dx ~rows;
+      let e = Array.make in_dim 0.0 in
+      Array.iteri
+        (fun r d ->
+          Ref.gemv_t w d e;
+          same_bits (what "gemv_t_rows") e
+            (Array.init in_dim (fun j -> Nn.Batch.get dx ((r * in_dim) + j))))
+        dys)
+    [ ("combiner", 112, 128, 1500, 600); ("trunk 1", 128, 64, 64, 64);
+      ("trunk 2", 64, 64, 64, 64); ("policy head", 64, 12, 64, 64);
+      ("value head", 64, 1, 64, 64) ]
+
+(* the widest variant the CPU runs is the one dispatched; printed so that
+   a CI log records which kernels ran *)
+let test_dispatched_isa () =
+  let vs = Nn.Batch.For_testing.variants () in
+  Printf.printf "native kernels: dispatched %s; this CPU runs %s\n%!"
+    (Nn.Batch.For_testing.isa ()) (String.concat ", " vs);
+  Alcotest.(check string)
+    "widest variant dispatched"
+    (List.nth vs (List.length vs - 1))
+    (Nn.Batch.For_testing.isa ())
 
 (* every wrapper rejects a length mismatch before anything reaches C *)
 let test_native_wrappers_check_lengths () =
@@ -718,6 +808,9 @@ let suite =
         Alcotest.test_case "native batch kernels bitwise" `Quick
           test_native_batch_kernels;
         Alcotest.test_case "native adam bitwise" `Quick test_native_adam;
+        Alcotest.test_case "native kernels at the agent's shapes" `Quick
+          test_native_agent_shapes;
+        Alcotest.test_case "dispatched variant" `Quick test_dispatched_isa;
         Alcotest.test_case "wrappers check lengths" `Quick
           test_native_wrappers_check_lengths;
       ] );

@@ -209,6 +209,46 @@ let test_batched_checkpoint_no_faults () =
         (read_file ps = read_file pb))
 
 (* ------------------------------------------------------------------ *)
+(* Frozen checkpoint bytes                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* The checkpoint of one small PPO run (200 steps, batch 100, minibatch
+   64, clean pipeline), pinned to the digest that the scalar C kernels
+   wrote before the kernels were vectorized (commit 0701a12).  It runs
+   under every kernel variant the host can execute, so a kernel or ISA
+   path that moves one bit of a weight or an Adam moment fails here on
+   any host, not only through the figure goldens. *)
+let frozen_checkpoint = "4d1e0581062c692741f3bc1558ef6e89"
+
+let frozen_checkpoint_digest () =
+  let path = Filename.temp_file "neurovec_frozen" ".agent" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Neurovec.Frontend.clear ();
+      let corpus = Dataset.Loopgen.generate ~seed:55 16 in
+      let fw =
+        Neurovec.Framework.create ~options:Neurovec.Pipeline.default_options
+          ~seed:3 corpus
+      in
+      ignore
+        (Neurovec.Framework.train fw
+           ~hyper:
+             { Rl.Ppo.default_hyper with batch_size = 100; minibatch = 64 }
+           ~total_steps:200);
+      Rl.Checkpoint.save fw.Neurovec.Framework.agent path;
+      Digest.to_hex (Digest.string (read_file path)))
+
+let test_frozen_checkpoint () =
+  List.iter
+    (fun isa ->
+      Alcotest.(check string)
+        (Printf.sprintf "checkpoint digest under the %s kernels" isa)
+        frozen_checkpoint
+        (Nn.Batch.For_testing.with_isa isa frozen_checkpoint_digest))
+    (Nn.Batch.For_testing.variants ())
+
+(* ------------------------------------------------------------------ *)
 (* Cache stress                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -276,6 +316,11 @@ let suite =
           test_batched_checkpoint_pool;
         Alcotest.test_case "scalar vs batched pool, no faults" `Slow
           test_batched_checkpoint_no_faults;
+      ] );
+    ( "batched.frozen",
+      [
+        Alcotest.test_case "checkpoint bytes of a fixed run" `Quick
+          test_frozen_checkpoint;
       ] );
     ( "parallel.stress",
       [

@@ -411,18 +411,13 @@ let outcome_bits programs oracle =
                     (fun r -> Printf.sprintf "%Lx" (Int64.bits_of_float r)) ))
               Rl.Spaces.all_actions))
 
-(* the outcomes of [got] that differ from [expected].  A quarantined
-   program measures nothing more, so an entry of one that the journal
-   lost re-derives as the quarantine; any value served must be exact *)
+(* the outcomes of [got] that differ from [expected]: every value served
+   and every quarantine must equal the reference oracle's *)
 let outcome_mismatches expected got =
-  let quarantined idx =
-    List.exists (fun (i, l, o) -> i = idx && l = "base" && Result.is_error o)
-      expected
-  in
   let show = function Ok bits -> bits | Error why -> "quarantined " ^ why in
   List.filter_map
     (fun ((idx, label, e), (_, _, g)) ->
-      if e = g || (Result.is_error g && quarantined idx) then None
+      if e = g then None
       else
         Some (Printf.sprintf "%d %s: %s <> %s" idx label (show e) (show g)))
     (List.combine expected got)
