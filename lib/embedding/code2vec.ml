@@ -331,8 +331,7 @@ let backward_rows (t : t) (arena : Nn.Batch.arena) (r : rows)
       off := !off + nc)
     r.snippets;
   (* combiner: gW += dz_o x_u(o)^T, then dx_o = W^T dz_o *)
-  Nn.Batch.ger_rows ~ix:r.uix t.combine.Nn.Dense.gw ~alpha:1.0 ~dy:dz ~x:r.x
-    ~rows:r.total;
+  Nn.Batch.ger_rows ~ix:r.uix t.combine.Nn.Dense.gw ~dy:dz ~x:r.x ~rows:r.total;
   let dx = Nn.Batch.slot arena "c2v.dx" (r.total * in_dim) in
   Nn.Batch.gemv_t_rows t.combine.Nn.Dense.w ~dy:dz ~dx ~rows:r.total;
   (* scatter into the tables, skipping the synthetic pads (see backward) *)

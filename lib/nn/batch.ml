@@ -108,8 +108,8 @@ external dense_rows_k :
 [@@noalloc]
 
 external ger_rows_k :
-  float array -> float -> buf -> buf -> int array option -> int -> int -> int
-  -> unit = "nv_ger_rows_byte" "nv_ger_rows"
+  float array -> buf -> buf -> int array option -> int -> int -> int -> unit
+  = "nv_ger_rows_byte" "nv_ger_rows"
 [@@noalloc]
 
 external gemv_t_rows_k :
@@ -176,14 +176,14 @@ let dense_rows ~(w : Tensor.mat) ~(b : Tensor.vec) ~(x : buf) ~(y : buf)
   in
   dense_rows_k w.Tensor.data b x y wt rows in_dim out_dim
 
-(** [g += alpha dy(r) x(ix(r))ᵀ] for [r = 0 .. rows-1] ([ix] defaults to
+(** [g += dy(r) x(ix(r))ᵀ] for [r = 0 .. rows-1] ([ix] defaults to
     the identity): every element of [g] receives the additions of [rows]
     successive [Tensor.ger] calls, in row order, with the same zero-row
     skip — so the result is bit-identical to that loop.  [g] is
     [out_dim x in_dim], [dy] has [rows] rows of [out_dim], [x] rows of
     [in_dim]. *)
-let ger_rows ?ix (g : Tensor.mat) ~(alpha : float) ~(dy : buf) ~(x : buf)
-    ~(rows : int) : unit =
+let ger_rows ?ix (g : Tensor.mat) ~(dy : buf) ~(x : buf) ~(rows : int) : unit
+    =
   let out_dim = g.Tensor.rows and in_dim = g.Tensor.cols in
   Tensor.check_mat "Batch.ger_rows" g;
   check_rows "Batch.ger_rows" ~rows dy ~width:out_dim;
@@ -199,7 +199,7 @@ let ger_rows ?ix (g : Tensor.mat) ~(alpha : float) ~(dy : buf) ~(x : buf)
         if ix.(r) < 0 || ix.(r) >= xrows then
           invalid_arg "Batch.ger_rows: row index out of range"
       done);
-  ger_rows_k g.Tensor.data alpha dy x ix rows out_dim in_dim
+  ger_rows_k g.Tensor.data dy x ix rows out_dim in_dim
 
 (** [dx(r) = Wᵀ dy(r)] for [rows] rows — [Tensor.gemv_t] row by row. *)
 let gemv_t_rows (w : Tensor.mat) ~(dy : buf) ~(dx : buf) ~(rows : int) : unit

@@ -39,7 +39,7 @@ let forward_rows (l : t) ~(x : Batch.buf) ~(y : Batch.buf) ~(rows : int) :
 
 (** Accumulate gradients for one sample; returns dL/dx. *)
 let backward (l : t) ~(x : Tensor.vec) ~(dy : Tensor.vec) : Tensor.vec =
-  Tensor.ger l.gw ~alpha:1.0 dy x;
+  Tensor.ger l.gw dy x;
   Tensor.add_inplace l.gb dy;
   let dx = Tensor.vec_create l.in_dim in
   Tensor.gemv_t l.w dy dx;
@@ -50,7 +50,7 @@ let backward (l : t) ~(x : Tensor.vec) ~(dy : Tensor.vec) : Tensor.vec =
     row; dL/dx rows go to [dx]. *)
 let backward_rows (l : t) ~(x : Batch.buf) ~(dy : Batch.buf) ~(dx : Batch.buf)
     ~(rows : int) : unit =
-  Batch.ger_rows l.gw ~alpha:1.0 ~dy ~x ~rows;
+  Batch.ger_rows l.gw ~dy ~x ~rows;
   for r = 0 to rows - 1 do
     let base = r * l.out_dim in
     for o = 0 to l.out_dim - 1 do

@@ -65,9 +65,8 @@ struct nv_isa {
   const char *name;
   void (*dense_rows)(const double *w, const double *b, const double *x,
                      double *y, double *wt, intnat n, intnat ni, intnat no);
-  void (*ger_rows)(double *g, double alpha, const double *dy,
-                   const double *x, const value *ix, intnat n, intnat no,
-                   intnat ni);
+  void (*ger_rows)(double *g, const double *dy, const double *x,
+                   const value *ix, intnat n, intnat no, intnat ni);
   void (*gemv_t_rows)(const double *w, const double *dy, double *dx,
                       intnat n, intnat no, intnat ni);
   void (*adam)(double *p, const double *g, double *m, double *v,
@@ -169,18 +168,12 @@ value nv_gemv_t(value m, value x, value y, value rows, value cols)
   return Val_unit;
 }
 
-/* M += alpha x y^T: ger_rows over one row */
-value nv_ger(value m, value alpha, value x, value y, value rows, value cols)
+/* M += x y^T: ger_rows over one row */
+value nv_ger(value m, value x, value y, value rows, value cols)
 {
-  nv_cur->ger_rows(FARR(m), Double_val(alpha), FARR(x), FARR(y), NULL, 1,
-                   Long_val(rows), Long_val(cols));
+  nv_cur->ger_rows(FARR(m), FARR(x), FARR(y), NULL, 1, Long_val(rows),
+                   Long_val(cols));
   return Val_unit;
-}
-
-value nv_ger_byte(value *argv, int argn)
-{
-  (void)argn;
-  return nv_ger(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5]);
 }
 
 /* y(r) = W x(r) + b for [rows] row-major rows; [wt] is scratch of at
@@ -200,15 +193,15 @@ value nv_dense_rows_byte(value *argv, int argn)
                        argv[6], argv[7]);
 }
 
-/* g += alpha dy(r) x(ix(r))^T over [rows] rows of dy.  [ix] is an
+/* g += dy(r) x(ix(r))^T over [rows] rows of dy.  [ix] is an
    [int array option] mapping a dy row to its x row; [None] is the
    identity. */
-value nv_ger_rows(value g, value alpha, value dy, value x, value ix,
-                  value rows, value out_dim, value in_dim)
+value nv_ger_rows(value g, value dy, value x, value ix, value rows,
+                  value out_dim, value in_dim)
 {
   const value *ixp = Is_block(ix) ? (const value *)Field(ix, 0) : NULL;
-  nv_cur->ger_rows(FARR(g), Double_val(alpha), BUF(dy), BUF(x), ixp,
-                   Long_val(rows), Long_val(out_dim), Long_val(in_dim));
+  nv_cur->ger_rows(FARR(g), BUF(dy), BUF(x), ixp, Long_val(rows),
+                   Long_val(out_dim), Long_val(in_dim));
   return Val_unit;
 }
 
@@ -216,7 +209,7 @@ value nv_ger_rows_byte(value *argv, int argn)
 {
   (void)argn;
   return nv_ger_rows(argv[0], argv[1], argv[2], argv[3], argv[4], argv[5],
-                     argv[6], argv[7]);
+                     argv[6]);
 }
 
 /* dx(r) = W^T dy(r) for [rows] rows */

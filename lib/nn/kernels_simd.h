@@ -45,12 +45,16 @@ INL void F(store_n)(double *p, F(vd) v, int n)
 }
 
 /* [*p != 0.0], tested on the bits (NaN counts as nonzero): an integer
-   test leaves the vector ports to the arithmetic */
+   test leaves the vector ports to the arithmetic.  The bits are read
+   through a may_alias type, so the load is ordered against every store
+   to the double; it is volatile so that GCC does not merge it with the
+   load of the value itself, which then feeds a broadcast straight from
+   memory. */
+typedef uint64_t F(u64a) __attribute__((may_alias));
+
 INL int F(nonzero)(const double *p)
 {
-  /* a volatile load is never merged with the load of the value itself,
-     which then feeds a broadcast straight from memory */
-  return (*(const volatile uint64_t *)p << 1) != 0;
+  return (*(const volatile F(u64a) *)p << 1) != 0;
 }
 
 /* dense_rows tile: rows [0, tr) of [x]/[y] x outputs [o0, o0 + to VW).
@@ -121,14 +125,14 @@ static TGT void F(dense_rows)(const double *w, const double *b,
 /* The shared tile of ger_rows and gemv_t_rows: [ta] output rows (at
    [out], stride [ni]) x [tj] vectors of columns, the last one [lanes]
    wide.  Over s = 0 .. ns-1 in order, source row s ([src] + ix(s) ni, or
-   s ni when [ix] is NULL) is scaled by c = alpha * coef(s, a) and added
-   to output row a -- unless c = 0.0, the scalar kernels' zero skip.  The
+   s ni when [ix] is NULL) is scaled by c = coef(s, a) and added to
+   output row a -- unless c = 0.0, the scalar kernels' zero skip.  The
    tile stays in registers for the whole sequence, so each element sees
    its additions in sequence order, loaded and stored once per call. */
 INL void F(axpy_tile)(const int ta, const int tj, int lanes, double *out,
                       intnat ni, int zero, const double *src,
                       const value *ix, intnat ns, const double *coef,
-                      intnat cs, intnat ca, double alpha, const int scaled)
+                      intnat cs, intnat ca)
 {
   F(vd) acc[AXPY_TA][AXPY_TJ];
   for (int a = 0; a < ta; a++)
@@ -142,12 +146,6 @@ INL void F(axpy_tile)(const int ta, const int tj, int lanes, double *out,
     for (int t = 0; t < tj; t++)
       v[t] = F(load_n)(sr + t * VW, t == tj - 1 ? lanes : VW);
     const double *cr = coef + s * cs;
-    double cb[AXPY_TA];
-    if (scaled) {
-      for (int a = 0; a < ta; a++) cb[a] = alpha * cr[a * ca];
-      cr = cb;
-      ca = 1;
-    }
     for (int a = 0; a < ta; a++)
       if (F(nonzero)(cr + a * ca)) {
         double c = cr[a * ca];
@@ -163,52 +161,37 @@ INL void F(axpy_tile)(const int ta, const int tj, int lanes, double *out,
    then the partial last vector */
 INL void F(axpy_rows)(const int ta, double *out, intnat ni, int zero,
                       const double *src, const value *ix, intnat ns,
-                      const double *coef, intnat cs, intnat ca, double alpha,
-                      const int scaled)
+                      const double *coef, intnat cs, intnat ca)
 {
   intnat j = 0;
   for (; j + AXPY_TJ * VW <= ni; j += AXPY_TJ * VW)
     F(axpy_tile)(ta, AXPY_TJ, VW, out + j, ni, zero, src + j, ix, ns, coef,
-                 cs, ca, alpha, scaled);
+                 cs, ca);
   for (; j + VW <= ni; j += VW)
-    F(axpy_tile)(ta, 1, VW, out + j, ni, zero, src + j, ix, ns, coef, cs, ca,
-                 alpha, scaled);
+    F(axpy_tile)(ta, 1, VW, out + j, ni, zero, src + j, ix, ns, coef, cs, ca);
   if (j < ni)
     F(axpy_tile)(ta, 1, (int)(ni - j), out + j, ni, zero, src + j, ix, ns,
-                 coef, cs, ca, alpha, scaled);
+                 coef, cs, ca);
 }
 
-/* g += alpha dy(r) x(ix(r))^T over rows r = 0 .. n-1 of dy, in row
-   order, skipping alpha dy(r, i) = 0.0: g's rows are the tile rows, the
-   sequence runs over dy's rows, one chunk of them per call of the tile */
-static TGT void F(ger_rows)(double *g, double alpha, const double *dy,
-                            const double *x, const value *ix, intnat n,
-                            intnat no, intnat ni)
+/* g += dy(r) x(ix(r))^T over rows r = 0 .. n-1 of dy, in row order,
+   skipping dy(r, i) = 0.0: g's rows are the tile rows, the sequence runs
+   over dy's rows, one chunk of them per call of the tile */
+static TGT void F(ger_rows)(double *g, const double *dy, const double *x,
+                            const value *ix, intnat n, intnat no, intnat ni)
 {
   /* rows go in chunks of ROWS_CHUNK, in order, so a chunk of x and dy
-     stays in cache while every tile of g passes over it; 1.0 * d = d for
-     every d, so alpha = 1.0 (every caller's) needs no multiply */
+     stays in cache while every tile of g passes over it */
   for (intnat r0 = 0; r0 < n; r0 += ROWS_CHUNK) {
     intnat ns = n - r0 < ROWS_CHUNK ? n - r0 : ROWS_CHUNK;
     const double *dyc = dy + r0 * no;
     const value *ixc = ix ? ix + r0 : NULL;
     const double *xc = ix ? x : x + r0 * ni;
     intnat i = 0;
-    if (alpha == 1.0) {
-      for (; i + AXPY_TA <= no; i += AXPY_TA)
-        F(axpy_rows)(AXPY_TA, g + i * ni, ni, 0, xc, ixc, ns, dyc + i, no, 1,
-                     1.0, 0);
-      for (; i < no; i++)
-        F(axpy_rows)(1, g + i * ni, ni, 0, xc, ixc, ns, dyc + i, no, 1, 1.0,
-                     0);
-    } else {
-      for (; i + AXPY_TA <= no; i += AXPY_TA)
-        F(axpy_rows)(AXPY_TA, g + i * ni, ni, 0, xc, ixc, ns, dyc + i, no, 1,
-                     alpha, 1);
-      for (; i < no; i++)
-        F(axpy_rows)(1, g + i * ni, ni, 0, xc, ixc, ns, dyc + i, no, 1, alpha,
-                     1);
-    }
+    for (; i + AXPY_TA <= no; i += AXPY_TA)
+      F(axpy_rows)(AXPY_TA, g + i * ni, ni, 0, xc, ixc, ns, dyc + i, no, 1);
+    for (; i < no; i++)
+      F(axpy_rows)(1, g + i * ni, ni, 0, xc, ixc, ns, dyc + i, no, 1);
   }
 }
 
@@ -220,10 +203,9 @@ static TGT void F(gemv_t_rows)(const double *w, const double *dy, double *dx,
   intnat r = 0;
   for (; r + AXPY_TA <= n; r += AXPY_TA)
     F(axpy_rows)(AXPY_TA, dx + r * ni, ni, 1, w, NULL, no, dy + r * no, 1,
-                 no, 1.0, 0);
+                 no);
   for (; r < n; r++)
-    F(axpy_rows)(1, dx + r * ni, ni, 1, w, NULL, no, dy + r * no, 1, no, 1.0,
-                 0);
+    F(axpy_rows)(1, dx + r * ni, ni, 1, w, NULL, no, dy + r * no, 1, no);
 }
 
 /* Adam's elementwise update, term by term as in Optim; [k] holds, in

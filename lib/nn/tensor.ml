@@ -40,8 +40,7 @@ external gemv_t_k :
 [@@noalloc]
 
 external ger_k :
-  float array -> float -> float array -> float array -> int -> int -> unit
-  = "nv_ger_byte" "nv_ger"
+  float array -> float array -> float array -> int -> int -> unit = "nv_ger"
 [@@noalloc]
 
 let check_mat what (m : mat) =
@@ -62,13 +61,13 @@ let gemv_t (m : mat) (x : vec) (y : vec) : unit =
     invalid_arg "gemv_t: dimension mismatch";
   gemv_t_k m.data x y m.rows m.cols
 
-(** M += alpha * x yᵀ  (outer-product accumulate; x : rows, y : cols);
-    rows with [alpha *. x.(i) = 0.0] are skipped *)
-let ger (m : mat) ~(alpha : float) (x : vec) (y : vec) : unit =
+(** M += x yᵀ  (outer-product accumulate; x : rows, y : cols); rows with
+    [x.(i) = 0.0] are skipped *)
+let ger (m : mat) (x : vec) (y : vec) : unit =
   check_mat "ger" m;
   if Array.length x <> m.rows || Array.length y <> m.cols then
     invalid_arg "ger: dimension mismatch";
-  ger_k m.data alpha x y m.rows m.cols
+  ger_k m.data x y m.rows m.cols
 
 let axpy ~(alpha : float) (x : vec) (y : vec) : unit =
   for i = 0 to Array.length x - 1 do

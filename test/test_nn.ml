@@ -67,7 +67,7 @@ let test_gemv_t () =
 
 let test_ger () =
   let m = Nn.Tensor.mat_create 2 2 in
-  Nn.Tensor.ger m ~alpha:2.0 [| 1.0; 3.0 |] [| 4.0; 5.0 |];
+  Nn.Tensor.ger m [| 2.0; 6.0 |] [| 4.0; 5.0 |];
   Alcotest.(check (float feps)) "m00" 8.0 (Nn.Tensor.get m 0 0);
   Alcotest.(check (float feps)) "m11" 30.0 (Nn.Tensor.get m 1 1)
 
@@ -406,11 +406,11 @@ module Ref = struct
         done
     done
 
-  let ger (m : Nn.Tensor.mat) ~alpha (x : float array) (y : float array) =
+  let ger (m : Nn.Tensor.mat) (x : float array) (y : float array) =
     let data = m.Nn.Tensor.data and cols = m.Nn.Tensor.cols in
     for i = 0 to m.Nn.Tensor.rows - 1 do
       let base = i * cols in
-      let xi = alpha *. Array.unsafe_get x i in
+      let xi = Array.unsafe_get x i in
       if xi <> 0.0 then
         for j = 0 to cols - 1 do
           Array.unsafe_set data (base + j)
@@ -540,14 +540,14 @@ let test_native_tensor_kernels () =
     Ref.gemv_t m x y_ref;
     Nn.Tensor.gemv_t m x y;
     same_bits (what "gemv_t") y_ref y;
-    (* ger, with a zero alpha now and then (every row skipped) *)
-    let alpha =
-      match Nn.Rng.int rng 4 with 0 -> 0.0 | 1 -> -1.0 | _ -> Nn.Rng.normal rng
+    (* ger, with an all-zero x now and then (every row skipped) *)
+    let x =
+      if Nn.Rng.int rng 4 = 0 then Array.make rows 0.0 else kernel_vec rng rows
     in
-    let x = kernel_vec rng rows and y = kernel_vec rng cols in
+    let y = kernel_vec rng cols in
     let m_ref = Nn.Tensor.mat_copy m and m_nat = Nn.Tensor.mat_copy m in
-    Ref.ger m_ref ~alpha x y;
-    Nn.Tensor.ger m_nat ~alpha x y;
+    Ref.ger m_ref x y;
+    Nn.Tensor.ger m_nat x y;
     same_bits (what "ger") m_ref.Nn.Tensor.data m_nat.Nn.Tensor.data
   done
 
@@ -581,17 +581,16 @@ let test_native_batch_kernels () =
     let xs = Array.init xrows (fun _ -> kernel_vec rng in_dim) in
     let xb = buf_of (Array.concat (Array.to_list xs)) in
     let ix = Array.init rows (fun _ -> Nn.Rng.int rng xrows) in
-    let alpha = if Nn.Rng.int rng 3 = 0 then 1.0 else Nn.Rng.normal rng in
     let g0 = kernel_mat rng out_dim in_dim in
     let g_ref = Nn.Tensor.mat_copy g0 and g = Nn.Tensor.mat_copy g0 in
-    Array.iteri (fun r d -> Ref.ger g_ref ~alpha d xs.(ix.(r))) dys;
-    Nn.Batch.ger_rows ~ix g ~alpha ~dy ~x:xb ~rows;
+    Array.iteri (fun r d -> Ref.ger g_ref d xs.(ix.(r))) dys;
+    Nn.Batch.ger_rows ~ix g ~dy ~x:xb ~rows;
     same_bits (what "ger_rows indexed") g_ref.Nn.Tensor.data g.Nn.Tensor.data;
     let xs = Array.init rows (fun _ -> kernel_vec rng in_dim) in
     let xb = buf_of (Array.concat (Array.to_list xs)) in
     let g_ref = Nn.Tensor.mat_copy g0 and g = Nn.Tensor.mat_copy g0 in
-    Array.iteri (fun r d -> Ref.ger g_ref ~alpha d xs.(r)) dys;
-    Nn.Batch.ger_rows g ~alpha ~dy ~x:xb ~rows;
+    Array.iteri (fun r d -> Ref.ger g_ref d xs.(r)) dys;
+    Nn.Batch.ger_rows g ~dy ~x:xb ~rows;
     same_bits (what "ger_rows") g_ref.Nn.Tensor.data g.Nn.Tensor.data;
     (* gemv_t_rows against gemv_t row by row *)
     let dx = Nn.Batch.create (rows * in_dim) in
@@ -676,8 +675,8 @@ let test_native_agent_shapes () =
       let dy = buf_of (Array.concat (Array.to_list dys)) in
       let g0 = kernel_mat rng out_dim in_dim in
       let g_ref = Nn.Tensor.mat_copy g0 and g = Nn.Tensor.mat_copy g0 in
-      Array.iteri (fun r d -> Ref.ger g_ref ~alpha:1.0 d xs.(ix.(r))) dys;
-      Nn.Batch.ger_rows ~ix g ~alpha:1.0 ~dy ~x:xb ~rows;
+      Array.iteri (fun r d -> Ref.ger g_ref d xs.(ix.(r))) dys;
+      Nn.Batch.ger_rows ~ix g ~dy ~x:xb ~rows;
       same_bits (what "ger_rows") g_ref.Nn.Tensor.data g.Nn.Tensor.data;
       (* gemv_t_rows *)
       let dx = Nn.Batch.create (rows * in_dim) in
@@ -720,9 +719,9 @@ let test_native_wrappers_check_lengths () =
   raises "gemv_t x" (fun () -> Nn.Tensor.gemv_t m (v 4) (v 4));
   raises "gemv_t y" (fun () -> Nn.Tensor.gemv_t m (v 3) (v 3));
   raises "gemv_t data" (fun () -> Nn.Tensor.gemv_t bad_m (v 3) (v 4));
-  raises "ger x" (fun () -> Nn.Tensor.ger m ~alpha:1.0 (v 4) (v 4));
-  raises "ger y" (fun () -> Nn.Tensor.ger m ~alpha:1.0 (v 3) (v 3));
-  raises "ger data" (fun () -> Nn.Tensor.ger bad_m ~alpha:1.0 (v 3) (v 4));
+  raises "ger x" (fun () -> Nn.Tensor.ger m (v 4) (v 4));
+  raises "ger y" (fun () -> Nn.Tensor.ger m (v 3) (v 3));
+  raises "ger data" (fun () -> Nn.Tensor.ger bad_m (v 3) (v 4));
   let buf = Nn.Batch.create in
   raises "dense_rows x" (fun () ->
       Nn.Batch.dense_rows ~w:m ~b:(v 3) ~x:(buf 7) ~y:(buf 6) ~rows:2);
@@ -733,19 +732,17 @@ let test_native_wrappers_check_lengths () =
   raises "dense_rows w" (fun () ->
       Nn.Batch.dense_rows ~w:bad_m ~b:(v 3) ~x:(buf 8) ~y:(buf 6) ~rows:2);
   raises "ger_rows dy" (fun () ->
-      Nn.Batch.ger_rows m ~alpha:1.0 ~dy:(buf 5) ~x:(buf 8) ~rows:2);
+      Nn.Batch.ger_rows m ~dy:(buf 5) ~x:(buf 8) ~rows:2);
   raises "ger_rows x" (fun () ->
-      Nn.Batch.ger_rows m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 7) ~rows:2);
+      Nn.Batch.ger_rows m ~dy:(buf 6) ~x:(buf 7) ~rows:2);
   raises "ger_rows ix length" (fun () ->
-      Nn.Batch.ger_rows ~ix:[| 0 |] m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8)
-        ~rows:2);
+      Nn.Batch.ger_rows ~ix:[| 0 |] m ~dy:(buf 6) ~x:(buf 8) ~rows:2);
   raises "ger_rows ix range" (fun () ->
-      Nn.Batch.ger_rows ~ix:[| 0; 2 |] m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8)
-        ~rows:2);
+      Nn.Batch.ger_rows ~ix:[| 0; 2 |] m ~dy:(buf 6) ~x:(buf 8) ~rows:2);
   raises "ger_rows negative rows" (fun () ->
-      Nn.Batch.ger_rows m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8) ~rows:(-1));
+      Nn.Batch.ger_rows m ~dy:(buf 6) ~x:(buf 8) ~rows:(-1));
   raises "ger_rows g" (fun () ->
-      Nn.Batch.ger_rows bad_m ~alpha:1.0 ~dy:(buf 6) ~x:(buf 8) ~rows:2);
+      Nn.Batch.ger_rows bad_m ~dy:(buf 6) ~x:(buf 8) ~rows:2);
   raises "gemv_t_rows dy" (fun () ->
       Nn.Batch.gemv_t_rows m ~dy:(buf 5) ~dx:(buf 8) ~rows:2);
   raises "gemv_t_rows dx" (fun () ->
